@@ -337,26 +337,26 @@ let run_bench_row (bench, bn, runit) =
   match !best with Some (b, _) -> b | None -> assert false
 
 let bench_row_json b =
-  Registry.Json.Obj
+  Jsonv.Obj
     [
-      ("bench", Registry.Json.Str b.bench);
-      ("n", Registry.Json.Int b.bn);
-      ("states_per_sec", Registry.Json.Float b.states_per_sec);
-      ("time_to_optimal_s", Registry.Json.Float b.time_to_optimal_s);
-      ("generated", Registry.Json.Int b.generated);
-      ("expanded", Registry.Json.Int b.expanded);
+      ("bench", Jsonv.Str b.bench);
+      ("n", Jsonv.Int b.bn);
+      ("states_per_sec", Jsonv.Float b.states_per_sec);
+      ("time_to_optimal_s", Jsonv.Float b.time_to_optimal_s);
+      ("generated", Jsonv.Int b.generated);
+      ("expanded", Jsonv.Int b.expanded);
       ( "optimal_length",
         match b.optimal_length with
-        | Some l -> Registry.Json.Int l
-        | None -> Registry.Json.Null );
+        | Some l -> Jsonv.Int l
+        | None -> Jsonv.Null );
     ]
 
 let bench_entry_json ~rev rows =
-  Registry.Json.Obj
+  Jsonv.Obj
     [
-      ("rev", Registry.Json.Str rev);
-      ("n5_sweep_depth", Registry.Json.Int n5_sweep_depth);
-      ("entries", Registry.Json.Arr (List.map bench_row_json rows));
+      ("rev", Jsonv.Str rev);
+      ("n5_sweep_depth", Jsonv.Int n5_sweep_depth);
+      ("entries", Jsonv.Arr (List.map bench_row_json rows));
     ]
 
 let read_file path =
@@ -370,19 +370,19 @@ let read_file path =
 let load_history path =
   if not (Sys.file_exists path) then Ok []
   else
-    match Registry.Json.parse (read_file path) with
+    match Jsonv.parse (read_file path) with
     | Error e -> Error (Printf.sprintf "%s: %s" path e)
     | Ok j -> (
-        match Registry.Json.member "history" j with
-        | Some (Registry.Json.Arr h) -> Ok h
+        match Jsonv.member "history" j with
+        | Some (Jsonv.Arr h) -> Ok h
         | _ -> Error (Printf.sprintf "%s: no \"history\" array" path))
 
 let row_of_json j =
-  let str k = Registry.Json.(member k j |> Option.map to_str) in
+  let str k = Jsonv.(member k j |> Option.map to_str) in
   let num k =
-    match Registry.Json.member k j with
+    match Jsonv.member k j with
     | Some v -> (
-        match Registry.Json.to_float v with Ok f -> Some f | Error _ -> None)
+        match Jsonv.to_float v with Ok f -> Some f | Error _ -> None)
     | None -> None
   in
   match (str "bench", num "states_per_sec") with
@@ -393,9 +393,9 @@ let last_entry_rows = function
   | [] -> []
   | history -> (
       match List.nth history (List.length history - 1) with
-      | Registry.Json.Obj _ as e -> (
-          match Registry.Json.member "entries" e with
-          | Some (Registry.Json.Arr rows) -> List.filter_map row_of_json rows
+      | Jsonv.Obj _ as e -> (
+          match Jsonv.member "entries" e with
+          | Some (Jsonv.Arr rows) -> List.filter_map row_of_json rows
           | _ -> [])
       | _ -> [])
 
@@ -463,15 +463,15 @@ let bench_search ~out ~rev ~check ~tolerance =
             exit 1
       in
       let json =
-        Registry.Json.Obj
+        Jsonv.Obj
           [
-            ("schema", Registry.Json.Str "sortsynth-bench-search/v1");
+            ("schema", Jsonv.Str "sortsynth-bench-search/v1");
             ( "history",
-              Registry.Json.Arr (history @ [ bench_entry_json ~rev rows ]) );
+              Jsonv.Arr (history @ [ bench_entry_json ~rev rows ]) );
           ]
       in
       let oc = open_out path in
-      output_string oc (Registry.Json.to_string json);
+      output_string oc (Jsonv.to_string json);
       output_string oc "\n";
       close_out oc;
       Printf.printf "wrote %s (%d history entries)\n" path
@@ -627,38 +627,38 @@ let bench_serve ~out ~rev =
             exit 1
       in
       let entry =
-        Registry.Json.Obj
+        Jsonv.Obj
           [
-            ("rev", Registry.Json.Str rev);
+            ("rev", Jsonv.Str rev);
             ( "entries",
-              Registry.Json.Arr
+              Jsonv.Arr
                 [
-                  Registry.Json.Obj
+                  Jsonv.Obj
                     [
-                      ("bench", Registry.Json.Str "warm-hit");
-                      ("requests", Registry.Json.Int serve_warm_requests);
-                      ("p50_us", Registry.Json.Float p50);
-                      ("p99_us", Registry.Json.Float p99);
+                      ("bench", Jsonv.Str "warm-hit");
+                      ("requests", Jsonv.Int serve_warm_requests);
+                      ("p50_us", Jsonv.Float p50);
+                      ("p99_us", Jsonv.Float p99);
                     ];
-                  Registry.Json.Obj
+                  Jsonv.Obj
                     [
-                      ("bench", Registry.Json.Str "overload-burst");
-                      ("requests", Registry.Json.Int serve_burst);
-                      ("shed", Registry.Json.Int shed);
-                      ("shed_rate", Registry.Json.Float shed_rate);
+                      ("bench", Jsonv.Str "overload-burst");
+                      ("requests", Jsonv.Int serve_burst);
+                      ("shed", Jsonv.Int shed);
+                      ("shed_rate", Jsonv.Float shed_rate);
                     ];
                 ] );
           ]
       in
       let json =
-        Registry.Json.Obj
+        Jsonv.Obj
           [
-            ("schema", Registry.Json.Str "sortsynth-bench-serve/v1");
-            ("history", Registry.Json.Arr (history @ [ entry ]));
+            ("schema", Jsonv.Str "sortsynth-bench-serve/v1");
+            ("history", Jsonv.Arr (history @ [ entry ]));
           ]
       in
       let oc = open_out path in
-      output_string oc (Registry.Json.to_string json);
+      output_string oc (Jsonv.to_string json);
       output_string oc "\n";
       close_out oc;
       Printf.printf "wrote %s (%d history entries)\n" path
@@ -704,13 +704,14 @@ let stats_snapshot () =
         Search.run_parallel ~opts:Search.best ~domains:2 cfg3 );
     ]
   in
-  let objects =
-    List.map (fun (label, r) -> Search.stats_json ~label r) runs
+  let json =
+    Jsonv.to_string
+      (Jsonv.Arr
+         (List.map (fun (label, r) -> Search.Stats.to_json ~label r.Search.stats) runs))
+    ^ "\n"
   in
-  let json = "[" ^ String.concat ",\n" objects ^ "]\n"
-  in
-  (match Search.Stats.validate_json json with
-  | Ok () -> ()
+  (match Jsonv.parse json with
+  | Ok _ -> ()
   | Error e ->
       Printf.eprintf "stats snapshot is not well-formed JSON: %s\n" e;
       exit 1);

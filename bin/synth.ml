@@ -75,6 +75,23 @@ let exits =
        exit_overloaded
   :: Cmd.Exit.defaults
 
+(* The exit code for a non-empty list of failed jobs, named by status
+   ({!Registry.Scheduler.status_string} names plus the daemon's
+   [overloaded] and [circuit_open]). A homogeneous failure class keeps its
+   dedicated code, so scripts can tell "give it more time" (2) from "give
+   it more memory" (3) from "back off" (6); mixed or other failures
+   collapse to 1. *)
+let failure_exit statuses =
+  let class_of = function
+    | "timed_out" -> exit_timeout
+    | "exhausted" -> exit_exhausted
+    | "overloaded" | "circuit_open" -> exit_overloaded
+    | _ -> 1
+  in
+  match List.sort_uniq compare (List.map class_of statuses) with
+  | [ code ] -> code
+  | _ -> 1
+
 (* [--fault-plan] accepts the same forms as $SORTSYNTH_FAULT_PLAN: an
    inline spec when it contains '=' (specs always do — at least [seed=] or
    a [site=trigger] clause), a plan-file path otherwise. *)
@@ -189,17 +206,20 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
       let p = rep.Opt.Pipeline.optimized in
       opt_note :=
         Some
-          (Printf.sprintf
-             {|{"passes":[%s],"refused":%d,"rounds":%d,"instructions_before":%d,"instructions_after":%d,"cycles_before":%d,"cycles_after":%d}|}
-             (String.concat ","
-                (List.map
-                   (fun (d : Opt.Pipeline.delta) ->
-                     Printf.sprintf "%S" d.Opt.Pipeline.pass)
-                   rep.Opt.Pipeline.deltas))
-             (List.length rep.Opt.Pipeline.refusals)
-             rep.Opt.Pipeline.rounds (Array.length before) (Array.length p)
-             (Perf.Cost.simulated_cycles cfg before)
-             (Perf.Cost.simulated_cycles cfg p))
+          (Jsonv.Obj
+             [
+               ( "passes",
+                 Jsonv.Arr
+                   (List.map
+                      (fun (d : Opt.Pipeline.delta) -> Jsonv.Str d.Opt.Pipeline.pass)
+                      rep.Opt.Pipeline.deltas) );
+               ("refused", Jsonv.Int (List.length rep.Opt.Pipeline.refusals));
+               ("rounds", Jsonv.Int rep.Opt.Pipeline.rounds);
+               ("instructions_before", Jsonv.Int (Array.length before));
+               ("instructions_after", Jsonv.Int (Array.length p));
+               ("cycles_before", Jsonv.Int (Perf.Cost.simulated_cycles cfg before));
+               ("cycles_after", Jsonv.Int (Perf.Cost.simulated_cycles cfg p));
+             ])
     in
     let note_analysis p =
       let fs = Analysis.Lint.check_all cfg p in
@@ -207,41 +227,40 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
       let d = Analysis.Dce.run cfg p in
       analysis_note :=
         Some
-          (Printf.sprintf {|{"findings":%d,"errors":%d,"eliminated":%d}|}
-             (List.length fs) errs
-             (List.length d.Analysis.Dce.removed));
+          (Jsonv.Obj
+             [
+               ("findings", Jsonv.Int (List.length fs));
+               ("errors", Jsonv.Int errs);
+               ("eliminated", Jsonv.Int (List.length d.Analysis.Dce.removed));
+             ]);
       if errs > 0 then
         Printf.eprintf "synth: lint: %s on the produced kernel\n"
           (Analysis.Lint.summary fs)
     in
     let extra () =
-      match
-        (if cache then
-           [ ("registry", Registry.Store.counters_json counters) ]
-         else [])
-        @ (match !analysis_note with
-          | Some j -> [ ("analysis", j) ]
-          | None -> [])
-        @ (match !degraded_note with
-          | Some j -> [ ("degraded", j) ]
-          | None -> [])
-        @ (match !opt_note with Some j -> [ ("opt", j) ] | None -> [])
-        @ [
-            ( "symcert",
-              Printf.sprintf
-                {|{"symbolic_proofs":%d,"exact_fallbacks":%d,"exact_certifications":%d}|}
-                (Registry.Verify.symbolic_proofs ())
-                (Registry.Verify.exact_fallbacks ())
-                (Registry.Verify.certifications ()) );
-          ]
-      with
-      | [] -> None
-      | l -> Some l
+      let note name r = Option.to_list (Option.map (fun j -> (name, j)) !r) in
+      (if cache then [ ("registry", Registry.Store.counters_json counters) ]
+       else [])
+      @ note "analysis" analysis_note
+      @ note "degraded" degraded_note
+      @ note "opt" opt_note
+      @ [
+          ( "symcert",
+            Jsonv.Obj
+              [
+                ("symbolic_proofs", Jsonv.Int (Registry.Verify.symbolic_proofs ()));
+                ("exact_fallbacks", Jsonv.Int (Registry.Verify.exact_fallbacks ()));
+                ( "exact_certifications",
+                  Jsonv.Int (Registry.Verify.certifications ()) );
+              ] );
+        ]
     in
     let dump_stats stats =
       match stats_json with
       | None -> ()
-      | Some path -> write_json path (Search.Stats.to_json ~label ?extra:(extra ()) stats)
+      | Some path ->
+          write_json path
+            (Jsonv.to_string (Search.Stats.to_json ~label ~extra:(extra ()) stats))
     in
     let hit =
       if cacheable then begin
@@ -297,7 +316,7 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
         in
         let r = outcome.Registry.Scheduler.result in
         let degraded = outcome.Registry.Scheduler.degraded in
-        degraded_note := Some (if degraded then "true" else "false");
+        degraded_note := Some (Jsonv.Bool degraded);
         if degraded then
           Printf.eprintf
             "synth: degraded result (ladder rung %d): the kernel is verified \
@@ -556,10 +575,6 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
           (List.length keys) (List.length served);
         exit exit_unreachable
       end;
-      let timeouts = ref 0
-      and exhausted = ref 0
-      and shed = ref 0
-      and other = ref 0 in
       List.iteri
         (fun i (key, (s : Serve.Protocol.served)) ->
           let tag, note =
@@ -578,20 +593,16 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
             | "synthesized" ->
                 ("synthesized", Printf.sprintf " in %.3f s" s.Serve.Protocol.elapsed)
             | "timed_out" ->
-                incr timeouts;
                 ( "TIMED OUT",
                   Printf.sprintf " after %d attempts" s.Serve.Protocol.attempts )
             | "exhausted" ->
-                incr exhausted;
                 ( "EXHAUSTED",
                   match s.Serve.Protocol.error with
                   | Some e -> ": " ^ e
                   | None -> "" )
             | "crashed" ->
-                incr other;
                 ("CRASHED", ": worker died mid-request; job isolated")
             | "overloaded" ->
-                incr shed;
                 ( "OVERLOADED",
                   Printf.sprintf ": %s%s"
                     (Option.value ~default:"request shed"
@@ -600,7 +611,6 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
                     | Some r -> Printf.sprintf "; retry in %.1f s" r
                     | None -> "") )
             | "circuit_open" ->
-                incr shed;
                 ( "CIRCUIT OPEN",
                   Printf.sprintf ": %s%s"
                     (Option.value ~default:"breaker tripped for this key"
@@ -609,7 +619,6 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
                     | Some r -> Printf.sprintf "; retry in %.1f s" r
                     | None -> "") )
             | st ->
-                incr other;
                 ( String.uppercase_ascii st,
                   match s.Serve.Protocol.error with
                   | Some e -> ": " ^ e
@@ -625,19 +634,21 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
       (match stats_json with
       | Some path ->
           write_json path
-            (Registry.Json.to_string
+            (Jsonv.to_string
                (Serve.Protocol.response_to_json (Serve.Protocol.Jobs served)))
       | None -> ());
-      let failures = !timeouts + !exhausted + !shed + !other in
-      if failures > 0 then begin
+      let failed =
+        List.filter_map
+          (fun (s : Serve.Protocol.served) ->
+            match s.Serve.Protocol.status with
+            | "cached" | "synthesized" -> None
+            | st -> Some st)
+          served
+      in
+      if failed <> [] then begin
         Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
-          failures (List.length keys);
-        exit
-          (if !other = 0 && !exhausted = 0 && !shed = 0 then exit_timeout
-           else if !other = 0 && !timeouts = 0 && !shed = 0 then exit_exhausted
-           else if !other = 0 && !timeouts = 0 && !exhausted = 0 then
-             exit_overloaded
-           else 1)
+          (List.length failed) (List.length keys);
+        exit (failure_exit failed)
       end;
       `Ok ()
 
@@ -663,7 +674,6 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
         Registry.Scheduler.run_batch ?root ~workers ?timeout ~retries ~backoff
           ?budget ~optimize keys
       in
-      let timeouts = ref 0 and exhausted = ref 0 and other = ref 0 in
       List.iteri
         (fun i r ->
           let open Registry.Scheduler in
@@ -683,22 +693,16 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
                        Printf.sprintf " (optimized: %s)"
                          (String.concat ", " r.opt_passes)) )
             | Timed_out ->
-                incr timeouts;
                 ("TIMED OUT", Printf.sprintf " after %d attempts" r.attempts)
             | Exhausted { live; budget } ->
-                incr exhausted;
                 ( "EXHAUSTED",
                   Printf.sprintf ": %d live states%s after %d attempts" live
                     (match budget with
                     | Some b -> Printf.sprintf " over budget %d" b
                     | None -> " (no budget configured)")
                     r.attempts )
-            | Crashed ->
-                incr other;
-                ("CRASHED", ": worker domain died; job isolated")
-            | Failed msg ->
-                incr other;
-                ("FAILED", ": " ^ msg)
+            | Crashed -> ("CRASHED", ": worker domain died; job isolated")
+            | Failed msg -> ("FAILED", ": " ^ msg)
           in
           Printf.printf "# job %d [%s] %s: %s%s\n" i
             (String.sub (Registry.Key.hash r.key) 0 12)
@@ -721,17 +725,18 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
       (match stats_json with
       | Some path -> write_json path (Registry.Scheduler.batch_json b)
       | None -> ());
-      let failures = !timeouts + !exhausted + !other in
-      if failures > 0 then begin
+      let failed =
+        List.filter_map
+          (fun r ->
+            match r.Registry.Scheduler.status with
+            | Registry.Scheduler.(Cached | Synthesized) -> None
+            | st -> Some (Registry.Scheduler.status_string st))
+          b.Registry.Scheduler.results
+      in
+      if failed <> [] then begin
         Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
-          failures (List.length keys);
-        (* A homogeneous failure class keeps its dedicated exit code, so
-           scripts can tell "give it more time" (2) from "give it more
-           memory" (3); mixed or other failures collapse to 1. *)
-        exit
-          (if !other = 0 && !exhausted = 0 then exit_timeout
-           else if !other = 0 && !timeouts = 0 then exit_exhausted
-           else 1)
+          (List.length failed) (List.length keys);
+        exit (failure_exit failed)
       end;
       `Ok ()
 
@@ -873,22 +878,17 @@ let print_findings file lines findings =
    the README rule table by a test. *)
 let print_rules json =
   if json then begin
-    let parts =
-      List.map
-        (fun r ->
-          Registry.Json.to_string
-            (Registry.Json.Obj
-               [
-                 ("id", Registry.Json.Str (Analysis.Lint.rule_id r));
-                 ( "severity",
-                   Registry.Json.Str
-                     (Analysis.Lint.severity_to_string
-                        (Analysis.Lint.severity_of_rule r)) );
-                 ("description", Registry.Json.Str (Analysis.Lint.describe r));
-               ]))
-        Analysis.Lint.rules
+    let rule r =
+      Jsonv.Obj
+        [
+          ("id", Jsonv.Str (Analysis.Lint.rule_id r));
+          ( "severity",
+            Jsonv.Str
+              (Analysis.Lint.severity_to_string (Analysis.Lint.severity_of_rule r)) );
+          ("description", Jsonv.Str (Analysis.Lint.describe r));
+        ]
     in
-    print_endline ("[" ^ String.concat "," parts ^ "]")
+    print_endline (Jsonv.to_string (Jsonv.Arr (List.map rule Analysis.Lint.rules)))
   end
   else
     List.iter
@@ -930,20 +930,12 @@ let run_lint files n m json rules =
       reports
   in
   if json then begin
-    let parts =
-      List.map
-        (fun (file, r) ->
-          match r with
-          | Error msg ->
-              Registry.Json.to_string
-                (Registry.Json.Obj
-                   [ ("file", Registry.Json.Str file);
-                     ("error", Registry.Json.Str msg) ])
-          | Ok (_, findings, lines) ->
-              Analysis.Lint.report_json ~file ~lines findings)
-        analyzed
+    let report (file, r) =
+      match r with
+      | Error msg -> Jsonv.Obj [ ("file", Jsonv.Str file); ("error", Jsonv.Str msg) ]
+      | Ok (_, findings, lines) -> Analysis.Lint.report_json ~file ~lines findings
     in
-    print_endline ("[" ^ String.concat "," parts ^ "]")
+    print_endline (Jsonv.to_string (Jsonv.Arr (List.map report analyzed)))
   end
   else begin
     List.iter
@@ -982,13 +974,11 @@ let run_analyze file n m json =
         (* Reuse the lint report as the base object and graft the abstract-
            interpretation and DCE sections on. *)
         let base =
-          match
-            Registry.Json.parse (Analysis.Lint.report_json ~file ~lines findings)
-          with
-          | Ok (Registry.Json.Obj kvs) -> kvs
+          match Analysis.Lint.report_json ~file ~lines findings with
+          | Jsonv.Obj kvs -> kvs
           | _ -> []
         in
-        let open Registry.Json in
+        let open Jsonv in
         let dce =
           Obj
             [
@@ -1148,20 +1138,16 @@ let analyze_cmd =
 let run_devlint paths json rules waivers_path =
   if rules then begin
     if json then begin
-      let parts =
-        List.map
-          (fun r ->
-            Registry.Json.to_string
-              (Registry.Json.Obj
-                 [
-                   ("id", Registry.Json.Str (Devlint.Rule.id r));
-                   ("title", Registry.Json.Str (Devlint.Rule.title r));
-                   ("description", Registry.Json.Str (Devlint.Rule.describe r));
-                   ("hint", Registry.Json.Str (Devlint.Rule.hint r));
-                 ]))
-          Devlint.Rule.all
+      let rule r =
+        Jsonv.Obj
+          [
+            ("id", Jsonv.Str (Devlint.Rule.id r));
+            ("title", Jsonv.Str (Devlint.Rule.title r));
+            ("description", Jsonv.Str (Devlint.Rule.describe r));
+            ("hint", Jsonv.Str (Devlint.Rule.hint r));
+          ]
       in
-      print_endline ("[" ^ String.concat "," parts ^ "]")
+      print_endline (Jsonv.to_string (Jsonv.Arr (List.map rule Devlint.Rule.all)))
     end
     else
       List.iter
@@ -1300,29 +1286,22 @@ let run_certify files n m json max_worlds =
         files
     in
     if json then begin
-      let parts =
-        List.map
-          (fun (file, r) ->
-            let fields =
-              match r with
-              | Error msg ->
-                  [ ("file", Registry.Json.Str file);
-                    ("error", Registry.Json.Str msg) ]
-              | Ok (cfg, verdict, certified, method_, detail) ->
-                  [
-                    ("file", Registry.Json.Str file);
-                    ("n", Registry.Json.Int cfg.Isa.Config.n);
-                    ("m", Registry.Json.Int cfg.Isa.Config.m);
-                    ("verdict", Registry.Json.Str verdict);
-                    ("certified", Registry.Json.Bool certified);
-                    ("method", Registry.Json.Str method_);
-                    ("detail", Registry.Json.Str detail);
-                  ]
-            in
-            Registry.Json.to_string (Registry.Json.Obj fields))
-          reports
+      let report (file, r) =
+        match r with
+        | Error msg -> Jsonv.Obj [ ("file", Jsonv.Str file); ("error", Jsonv.Str msg) ]
+        | Ok (cfg, verdict, certified, method_, detail) ->
+            Jsonv.Obj
+              [
+                ("file", Jsonv.Str file);
+                ("n", Jsonv.Int cfg.Isa.Config.n);
+                ("m", Jsonv.Int cfg.Isa.Config.m);
+                ("verdict", Jsonv.Str verdict);
+                ("certified", Jsonv.Bool certified);
+                ("method", Jsonv.Str method_);
+                ("detail", Jsonv.Str detail);
+              ]
       in
-      print_endline ("[" ^ String.concat "," parts ^ "]")
+      print_endline (Jsonv.to_string (Jsonv.Arr (List.map report reports)))
     end
     else
       List.iter
@@ -1403,7 +1382,7 @@ let run_optimize file n m json out x86 fault_plan =
       in
       let net = network_verdict cfg p in
       if json then begin
-        let open Registry.Json in
+        let open Jsonv in
         let delta_obj (d : Opt.Pipeline.delta) =
           Obj
             [
@@ -1566,19 +1545,19 @@ let run_equiv file_a file_b n m json =
   match parsed with
   | Error msg -> `Error (false, msg)
   | Ok (cfg, pa, pb) -> (
-      let ints a = Registry.Json.Arr (List.map (fun v -> Registry.Json.Int v) (Array.to_list a)) in
+      let ints a = Jsonv.Arr (List.map (fun v -> Jsonv.Int v) (Array.to_list a)) in
       match Opt.Equiv.compare cfg pa pb with
       | Opt.Equiv.Equivalent ->
           if json then
             print_endline
-              (Registry.Json.to_string
-                 (Registry.Json.Obj
+              (Jsonv.to_string
+                 (Jsonv.Obj
                     [
-                      ("a", Registry.Json.Str file_a);
-                      ("b", Registry.Json.Str file_b);
-                      ("n", Registry.Json.Int cfg.Isa.Config.n);
-                      ("m", Registry.Json.Int cfg.Isa.Config.m);
-                      ("equivalent", Registry.Json.Bool true);
+                      ("a", Jsonv.Str file_a);
+                      ("b", Jsonv.Str file_b);
+                      ("n", Jsonv.Int cfg.Isa.Config.n);
+                      ("m", Jsonv.Int cfg.Isa.Config.m);
+                      ("equivalent", Jsonv.Bool true);
                     ]))
           else
             Printf.printf
@@ -1589,14 +1568,14 @@ let run_equiv file_a file_b n m json =
       | Opt.Equiv.Differs { input; out_a; out_b } ->
           if json then
             print_endline
-              (Registry.Json.to_string
-                 (Registry.Json.Obj
+              (Jsonv.to_string
+                 (Jsonv.Obj
                     [
-                      ("a", Registry.Json.Str file_a);
-                      ("b", Registry.Json.Str file_b);
-                      ("n", Registry.Json.Int cfg.Isa.Config.n);
-                      ("m", Registry.Json.Int cfg.Isa.Config.m);
-                      ("equivalent", Registry.Json.Bool false);
+                      ("a", Jsonv.Str file_a);
+                      ("b", Jsonv.Str file_b);
+                      ("n", Jsonv.Int cfg.Isa.Config.n);
+                      ("m", Jsonv.Int cfg.Isa.Config.m);
+                      ("equivalent", Jsonv.Bool false);
                       ("input", ints input);
                       ("output_a", ints out_a);
                       ("output_b", ints out_b);
@@ -1732,21 +1711,16 @@ let registry_verify cache_dir lint stats_json =
   (match stats_json with
   | None -> ()
   | Some path ->
-      let counters_value =
-        match Registry.Json.parse (Registry.Store.counters_json counters) with
-        | Ok v -> v
-        | Error _ -> Registry.Json.Null
-      in
       write_json path
-        (Registry.Json.to_string
-           (Registry.Json.Obj
+        (Jsonv.to_string
+           (Jsonv.Obj
               [
-                ("label", Registry.Json.Str "registry verify");
-                ("root", Registry.Json.Str root);
-                ("lint", Registry.Json.Bool lint);
-                ("checked", Registry.Json.Int (List.length checked));
-                ("ok", Registry.Json.Int (List.length checked - !bad));
-                ("registry", counters_value);
+                ("label", Jsonv.Str "registry verify");
+                ("root", Jsonv.Str root);
+                ("lint", Jsonv.Bool lint);
+                ("checked", Jsonv.Int (List.length checked));
+                ("ok", Jsonv.Int (List.length checked - !bad));
+                ("registry", Registry.Store.counters_json counters);
               ])));
   (* Any corrupted entry — found by the recovery scan or the certify
      sweep — is the documented "registry corruption" exit code. *)
@@ -1866,7 +1840,7 @@ let run_serve socket cache_dir capacity workers max_conns max_queue
     ~handle_signals:true t;
   (match stats_json with
   | Some path ->
-      write_json path (Registry.Json.to_string (Serve.Server.snapshot t))
+      write_json path (Jsonv.to_string (Serve.Server.snapshot t))
   | None -> ());
   `Ok ()
 
@@ -1972,14 +1946,13 @@ let print_served (s : Serve.Protocol.served) =
   (match s.Serve.Protocol.kernel with Some k -> print_endline k | None -> ());
   match s.Serve.Protocol.status with
   | "cached" | "synthesized" -> `Ok ()
-  | "timed_out" -> exit exit_timeout
-  | "exhausted" -> exit exit_exhausted
-  | "overloaded" | "circuit_open" ->
+  | status ->
+      let code = failure_exit [ status ] in
       (match s.Serve.Protocol.retry_after with
-      | Some r -> Printf.eprintf "synth client: retry in %.1f s\n" r
-      | None -> ());
-      exit exit_overloaded
-  | _ -> exit 1
+      | Some r when code = exit_overloaded ->
+          Printf.eprintf "synth client: retry in %.1f s\n" r
+      | _ -> ());
+      exit code
 
 let run_client server op n scratch engine heuristic cut max_len timeout budget
     deadline optimize stats_json fault_plan =
@@ -2030,7 +2003,7 @@ let run_client server op n scratch engine heuristic cut max_len timeout budget
       Printf.printf "# server shutting down\n";
       `Ok ()
   | Ok (Serve.Protocol.Snapshot j) ->
-      let rendered = Registry.Json.to_string j in
+      let rendered = Jsonv.to_string j in
       (match stats_json with
       | Some path -> write_json path rendered
       | None -> print_endline rendered);

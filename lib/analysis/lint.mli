@@ -79,13 +79,12 @@ val errors : finding list -> finding list
 val summary : finding list -> string
 (** One-line human summary, e.g. ["3 findings (2 errors, 1 warning)"]. *)
 
-val to_json : ?line:int -> finding -> string
+val to_json : ?line:int -> finding -> Jsonv.t
 (** One finding as a JSON object:
     [{"rule":…,"severity":…,"index":…,"line":…,"message":…}]. [index] and
-    [line] are [null] when absent. The output passes
-    {!Search.Stats.validate_json}. *)
+    [line] are [null] when absent. *)
 
-val report_json : ?file:string -> ?lines:int array -> finding list -> string
+val report_json : ?file:string -> ?lines:int array -> finding list -> Jsonv.t
 (** A JSON report [{"file":…,"findings":[…],"errors":N,"warnings":N}].
     [lines] maps instruction indices to 1-based source lines (as returned
     by {!Isa.Program.of_string_numbered}) so findings and parse

@@ -16,8 +16,7 @@ val text : run -> string
     finding, then waived/stale sections and a one-line summary. *)
 
 val json : run -> string
-(** Machine output as one JSON object; devlint carries its own minimal
-    string escaper so the library stays on compiler-libs alone. *)
+(** Machine output as one JSON object, rendered by {!Jsonv.to_string}. *)
 
 val exit_code : run -> int
 (** 0 when there is nothing unwaived and no scan errors, 1 otherwise. *)

@@ -94,43 +94,43 @@ let describe k =
     (match k.max_len with Some l -> string_of_int l | None -> "-")
 
 let to_json k =
-  Json.Obj
+  Jsonv.Obj
     [
-      ("n", Json.Int k.n);
-      ("m", Json.Int k.m);
-      ("isa", Json.Str k.isa);
-      ("engine", Json.Str (engine_to_string k.engine));
-      ("heuristic", Json.Str (heuristic_to_string k.heuristic));
-      ("cut", Json.Str (cut_to_string k.cut));
+      ("n", Jsonv.Int k.n);
+      ("m", Jsonv.Int k.m);
+      ("isa", Jsonv.Str k.isa);
+      ("engine", Jsonv.Str (engine_to_string k.engine));
+      ("heuristic", Jsonv.Str (heuristic_to_string k.heuristic));
+      ("cut", Jsonv.Str (cut_to_string k.cut));
       ( "max_len",
-        match k.max_len with Some l -> Json.Int l | None -> Json.Null );
+        match k.max_len with Some l -> Jsonv.Int l | None -> Jsonv.Null );
     ]
 
 let ( let* ) = Result.bind
 
 let of_json j =
   match j with
-  | Json.Obj _ -> (
+  | Jsonv.Obj _ -> (
       let field name conv default =
-        match Json.member name j with
-        | None | Some Json.Null -> Ok default
+        match Jsonv.member name j with
+        | None | Some Jsonv.Null -> Ok default
         | Some v -> conv v
       in
       let* n =
-        match Json.member "n" j with
-        | Some v -> Json.to_int v
+        match Jsonv.member "n" j with
+        | Some v -> Jsonv.to_int v
         | None -> Error "job is missing required field \"n\""
       in
-      let* m = field "m" Json.to_int 1 in
-      let* isa = field "isa" Json.to_str "cmov" in
+      let* m = field "m" Jsonv.to_int 1 in
+      let* isa = field "isa" Jsonv.to_str "cmov" in
       let* engine =
         field "engine"
-          (fun v -> Result.bind (Json.to_str v) engine_of_string)
+          (fun v -> Result.bind (Jsonv.to_str v) engine_of_string)
           Astar
       in
       let* heuristic =
         field "heuristic"
-          (fun v -> Result.bind (Json.to_str v) heuristic_of_string)
+          (fun v -> Result.bind (Jsonv.to_str v) heuristic_of_string)
           Search.Perm_count
       in
       let* cut =
@@ -139,15 +139,15 @@ let of_json j =
             (* Batch jobs may give the CLI's numeric factor instead of the
                canonical string form. *)
             match v with
-            | Json.Int _ | Json.Float _ ->
-                Result.map cut_of_factor (Json.to_float v)
-            | _ -> Result.bind (Json.to_str v) cut_of_string)
+            | Jsonv.Int _ | Jsonv.Float _ ->
+                Result.map cut_of_factor (Jsonv.to_float v)
+            | _ -> Result.bind (Jsonv.to_str v) cut_of_string)
           (Search.Mult 1.0)
       in
       let* max_len =
-        match Json.member "max_len" j with
-        | None | Some Json.Null -> Ok None
-        | Some v -> Result.map Option.some (Json.to_int v)
+        match Jsonv.member "max_len" j with
+        | None | Some Jsonv.Null -> Ok None
+        | Some v -> Result.map Option.some (Jsonv.to_int v)
       in
       match make ~m ~isa ~engine ~heuristic ~cut ?max_len n with
       | k -> Ok k

@@ -76,8 +76,8 @@ val cut_of_factor : float -> Search.cut
 
 (** {2 JSON (metadata records and batch jobs)} *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Jsonv.t
+val of_json : Jsonv.t -> (t, string) result
 (** Accepts the {!to_json} form and the batch-job form: an object with a
     required ["n"] and optional ["m"], ["isa"], ["engine"], ["heuristic"],
     ["cut"] (string form or number factor), ["max_len"]. *)

@@ -94,8 +94,8 @@ let run_key ?deadline ?(domains = 2) ?(mode = Search.Find_first) ?budget key =
 let ( let* ) = Result.bind
 
 let parse_jobs src =
-  let* j = Json.parse src in
-  let* jobs = Json.to_list j in
+  let* j = Jsonv.parse src in
+  let* jobs = Jsonv.to_list j in
   if jobs = [] then Error "jobs file is an empty array"
   else
     List.fold_left
@@ -359,55 +359,55 @@ let poison_status = function
 let batch_json batch =
   let job r =
     let attempt a =
-      Json.Obj
+      Jsonv.Obj
         [
-          ("n", Json.Int a.n);
-          ("failure", Json.Str a.failure);
-          ("backoff_s", Json.Float a.backoff);
+          ("n", Jsonv.Int a.n);
+          ("failure", Jsonv.Str a.failure);
+          ("backoff_s", Jsonv.Float a.backoff);
         ]
     in
-    Json.Obj
+    Jsonv.Obj
       ([
-         ("key", Json.Str (Key.canonical r.key));
-         ("hash", Json.Str (Key.hash r.key));
-         ("status", Json.Str (status_string r.status));
+         ("key", Jsonv.Str (Key.canonical r.key));
+         ("hash", Jsonv.Str (Key.hash r.key));
+         ("status", Jsonv.Str (status_string r.status));
          ( "length",
-           match r.length with Some l -> Json.Int l | None -> Json.Null );
-         ("attempts", Json.Int r.attempts);
-         ("elapsed_s", Json.Float r.elapsed);
+           match r.length with Some l -> Jsonv.Int l | None -> Jsonv.Null );
+         ("attempts", Jsonv.Int r.attempts);
+         ("elapsed_s", Jsonv.Float r.elapsed);
          ( "expanded",
            match r.search with
-           | Some s -> Json.Int s.Search.stats.Search.expanded
-           | None -> Json.Null );
-         ("degraded", Json.Bool r.degraded);
-         ("rung", Json.Int r.rung);
-         ("attempt_log", Json.Arr (List.map attempt r.attempt_log));
+           | Some s -> Jsonv.Int s.Search.stats.Search.expanded
+           | None -> Jsonv.Null );
+         ("degraded", Jsonv.Bool r.degraded);
+         ("rung", Jsonv.Int r.rung);
+         ("attempt_log", Jsonv.Arr (List.map attempt r.attempt_log));
        ]
       @ (match r.opt_passes with
         | [] -> []
         | passes ->
             [
               ( "opt_passes",
-                Json.Arr (List.map (fun s -> Json.Str s) passes) );
+                Jsonv.Arr (List.map (fun s -> Jsonv.Str s) passes) );
             ])
       @
       match r.status with
       | (Failed _ | Exhausted _ | Crashed) as s ->
-          [ ("error", Json.Str (failure_string s)) ]
+          [ ("error", Jsonv.Str (failure_string s)) ]
       | Cached | Synthesized | Timed_out -> [])
   in
   let c = batch.counters in
-  Json.to_string
-    (Json.Obj
+  Jsonv.to_string
+    (Jsonv.Obj
        [
-         ("jobs", Json.Arr (List.map job batch.results));
+         ("jobs", Jsonv.Arr (List.map job batch.results));
          ( "registry",
-           Json.Obj
+           Jsonv.Obj
              [
-               ("hits", Json.Int c.Store.hits);
-               ("misses", Json.Int c.Store.misses);
-               ("quarantined", Json.Int c.Store.quarantined);
-               ("inserted", Json.Int c.Store.inserted);
-               ("recovered", Json.Int c.Store.recovered);
+               ("hits", Jsonv.Int c.Store.hits);
+               ("misses", Jsonv.Int c.Store.misses);
+               ("quarantined", Jsonv.Int c.Store.quarantined);
+               ("inserted", Jsonv.Int c.Store.inserted);
+               ("recovered", Jsonv.Int c.Store.recovered);
              ] );
        ])

@@ -178,4 +178,4 @@ val batch_json : batch -> string
 (** Machine-readable batch summary:
     [{"jobs":[...],"registry":{"hits":...}}]. Each job carries [degraded],
     [rung], and its [attempt_log]; the registry object includes the
-    [recovered] counter. Always passes {!Search.Stats.validate_json}. *)
+    [recovered] counter. Rendered by {!Jsonv.to_string}. *)

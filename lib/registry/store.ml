@@ -18,16 +18,15 @@ let fresh_counters () =
   }
 
 let counters_json c =
-  Json.to_string
-    (Json.Obj
-       [
-         ("hits", Json.Int c.hits);
-         ("misses", Json.Int c.misses);
-         ("quarantined", Json.Int c.quarantined);
-         ("inserted", Json.Int c.inserted);
-         ("lint_errors", Json.Int c.lint_errors);
-         ("recovered", Json.Int c.recovered);
-       ])
+  Jsonv.Obj
+    [
+      ("hits", Jsonv.Int c.hits);
+      ("misses", Jsonv.Int c.misses);
+      ("quarantined", Jsonv.Int c.quarantined);
+      ("inserted", Jsonv.Int c.inserted);
+      ("lint_errors", Jsonv.Int c.lint_errors);
+      ("recovered", Jsonv.Int c.recovered);
+    ]
 
 type provenance = { optimized_from : string; passes : string list }
 
@@ -197,17 +196,17 @@ let scan ~root =
 (* Metadata records.                                                   *)
 
 let meta_json key (e : entry) =
-  Json.Obj
+  Jsonv.Obj
     ([
-       ("format", Json.Int format_version);
-       ("canonical", Json.Str (Key.canonical key));
+       ("format", Jsonv.Int format_version);
+       ("canonical", Jsonv.Str (Key.canonical key));
        ("key", Key.to_json key);
-       ("length", Json.Int e.length);
-       ("solution_count", Json.Int e.solution_count);
-       ("expanded", Json.Int e.expanded);
-       ("elapsed_s", Json.Float e.elapsed);
-       ("predicted_cost", Json.Float e.predicted_cost);
-       ("degraded", Json.Bool e.degraded);
+       ("length", Jsonv.Int e.length);
+       ("solution_count", Jsonv.Int e.solution_count);
+       ("expanded", Jsonv.Int e.expanded);
+       ("elapsed_s", Jsonv.Float e.elapsed);
+       ("predicted_cost", Jsonv.Float e.predicted_cost);
+       ("degraded", Jsonv.Bool e.degraded);
      ]
     @
     (* Optimizer provenance, present only on entries the pipeline
@@ -217,42 +216,42 @@ let meta_json key (e : entry) =
     | None -> []
     | Some p ->
         [
-          ("optimized_from", Json.Str p.optimized_from);
-          ("opt_passes", Json.Arr (List.map (fun s -> Json.Str s) p.passes));
+          ("optimized_from", Jsonv.Str p.optimized_from);
+          ("opt_passes", Jsonv.Arr (List.map (fun s -> Jsonv.Str s) p.passes));
         ])
 
 let ( let* ) = Result.bind
 
 let parse_meta src =
-  let* j = Json.parse src in
+  let* j = Jsonv.parse src in
   let req name conv =
-    match Json.member name j with
+    match Jsonv.member name j with
     | Some v -> conv v
     | None -> Error (Printf.sprintf "meta.json is missing %S" name)
   in
-  let* format = req "format" Json.to_int in
+  let* format = req "format" Jsonv.to_int in
   if format <> format_version then
     Error (Printf.sprintf "unsupported format version %d" format)
   else
-    let* canonical = req "canonical" Json.to_str in
+    let* canonical = req "canonical" Jsonv.to_str in
     let* key =
-      match Json.member "key" j with
+      match Jsonv.member "key" j with
       | Some v -> Key.of_json v
       | None -> Error "meta.json is missing \"key\""
     in
     if Key.canonical key <> canonical then
       Error "canonical string does not match key fields"
     else
-      let* length = req "length" Json.to_int in
-      let* solution_count = req "solution_count" Json.to_int in
-      let* expanded = req "expanded" Json.to_int in
-      let* elapsed = req "elapsed_s" Json.to_float in
-      let* predicted_cost = req "predicted_cost" Json.to_float in
+      let* length = req "length" Jsonv.to_int in
+      let* solution_count = req "solution_count" Jsonv.to_int in
+      let* expanded = req "expanded" Jsonv.to_int in
+      let* elapsed = req "elapsed_s" Jsonv.to_float in
+      let* predicted_cost = req "predicted_cost" Jsonv.to_float in
       (* Absent in format-1 entries written before the flag existed. *)
       let* degraded =
-        match Json.member "degraded" j with
+        match Jsonv.member "degraded" j with
         | None -> Ok false
-        | Some (Json.Bool b) -> Ok b
+        | Some (Jsonv.Bool b) -> Ok b
         | Some _ -> Error "\"degraded\" is not a boolean"
       in
       if degraded then
@@ -260,19 +259,19 @@ let parse_meta src =
       else
         (* Optimizer provenance: optional, format-1 compatible. *)
         let* provenance =
-          match Json.member "optimized_from" j with
+          match Jsonv.member "optimized_from" j with
           | None -> Ok None
           | Some v ->
-              let* optimized_from = Json.to_str v in
+              let* optimized_from = Jsonv.to_str v in
               let* passes =
-                match Json.member "opt_passes" j with
+                match Jsonv.member "opt_passes" j with
                 | None -> Ok []
                 | Some a ->
-                    let* items = Json.to_list a in
+                    let* items = Jsonv.to_list a in
                     List.fold_left
                       (fun acc item ->
                         let* acc = acc in
-                        let* s = Json.to_str item in
+                        let* s = Jsonv.to_str item in
                         Ok (s :: acc))
                       (Ok []) items
                     |> Result.map List.rev
@@ -438,7 +437,7 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
                (Isa.Program.to_string cfg program ^ "\n"));
           write_file (tmp / "meta.json")
             (maybe_torn Fault.Registry_write_meta
-               (Json.to_string (meta_json key entry) ^ "\n"));
+               (Jsonv.to_string (meta_json key entry) ^ "\n"));
           (* Durability barrier: both files and the staging directory must
              be on disk before the rename publishes them, or a crash could
              expose an entry whose name exists but whose bytes do not. *)
@@ -559,11 +558,11 @@ let warmset_path root = root / "warmset.json"
 let write_warmset ~root keys =
   mkdir_p root;
   let body =
-    Json.to_string
-      (Json.Obj
+    Jsonv.to_string
+      (Jsonv.Obj
          [
-           ("schema", Json.Str warmset_schema);
-           ("keys", Json.Arr (List.map Key.to_json keys));
+           ("schema", Jsonv.Str warmset_schema);
+           ("keys", Jsonv.Arr (List.map Key.to_json keys));
          ])
     ^ "\n"
   in
@@ -585,17 +584,17 @@ let read_warmset ~root =
   if not (Sys.file_exists path) then Ok []
   else
     let* src = (try Ok (read_file path) with Sys_error m -> Error m) in
-    let* j = Json.parse src in
+    let* j = Jsonv.parse src in
     let* schema =
-      match Json.member "schema" j with
-      | Some v -> Json.to_str v
+      match Jsonv.member "schema" j with
+      | Some v -> Jsonv.to_str v
       | None -> Error "warm-set snapshot: missing \"schema\""
     in
     if schema <> warmset_schema then
       Error (Printf.sprintf "warm-set snapshot: unsupported schema %S" schema)
     else
-      match Json.member "keys" j with
-      | Some (Json.Arr items) ->
+      match Jsonv.member "keys" j with
+      | Some (Jsonv.Arr items) ->
           List.fold_left
             (fun acc kj ->
               let* acc = acc in

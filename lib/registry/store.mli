@@ -52,9 +52,9 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
-val counters_json : counters -> string
-(** Pre-rendered JSON object, e.g. [{"hits":1,"misses":0,...}] — the value
-    handed to {!Search.Stats.to_json}'s [extra] field. *)
+val counters_json : counters -> Jsonv.t
+(** The counters as a JSON object, e.g. [{"hits":1,"misses":0,...}] — the
+    value handed to {!Search.Stats.to_json}'s [extra] field. *)
 
 type provenance = {
   optimized_from : string;

@@ -2,10 +2,9 @@
     machine-readable JSON snapshot.
 
     Every engine populates one {!t} per run (exposed as
-    [Search.result.stats]). The JSON emitter is dependency-free — the
-    container has no JSON library — and {!validate_json} is a minimal
-    well-formedness checker so tests and the bench smoke path can assert
-    that emitted snapshots parse. *)
+    [Search.result.stats]). {!to_json} builds the snapshot as a {!Jsonv.t};
+    render it with {!Jsonv.to_string} and read it back with
+    {!Jsonv.parse}. *)
 
 type trace_point = {
   t : float;  (** Seconds since the search started. *)
@@ -49,16 +48,11 @@ type t = {
   levels : level_stat list;  (** Shallowest first. *)
 }
 
-val to_json : ?label:string -> ?extra:(string * string) list -> t -> string
-(** Render a stats snapshot as a JSON object:
+val to_json : ?label:string -> ?extra:(string * Jsonv.t) list -> t -> Jsonv.t
+(** The stats snapshot as a JSON object:
     [{"label": ..., "counters": {...}, "timeline": [...], "levels": [...]}].
     The [label] field is omitted when not given. Each [(name, value)] in
-    [extra] is appended as an additional top-level field; [value] must be a
-    pre-rendered JSON value (this is how the registry's hit/miss/quarantine
-    counters flow into the snapshot). The output always passes
-    {!validate_json} provided every [extra] value does. *)
-
-val validate_json : string -> (unit, string) result
-(** Check that a string is one well-formed JSON value (objects, arrays,
-    strings, numbers, [true]/[false]/[null]) with nothing trailing.
-    Positions in error messages are 0-based byte offsets. *)
+    [extra] is appended as an additional top-level field (this is how the
+    registry's hit/miss/quarantine counters flow into the snapshot).
+    Floats ([elapsed_s], timeline [t]) follow {!Jsonv.to_string}: they
+    round-trip bit for bit. *)

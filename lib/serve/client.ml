@@ -36,21 +36,34 @@ let connect ~socket =
    descriptor. *)
 let close c = close_out_noerr c.oc
 
+let read_response c =
+  match input_line c.ic with
+  | exception End_of_file -> Error "connection closed mid-response (torn or server gone)"
+  | exception Sys_error msg -> Error (Printf.sprintf "receive failed: %s" msg)
+  | line -> (
+      match Protocol.parse_response line with
+      | Ok resp -> Ok resp
+      | Error msg -> Error (Printf.sprintf "protocol error: %s" msg))
+
+(* A send error is not the last word: a server that sheds the connection
+   writes its typed overloaded line before it closes, so our write can
+   hit EPIPE with that answer already waiting in the receive buffer.
+   Read it once if the socket is readable right now (a peer that closed
+   is: data or EOF), so a send error never turns into a blocking read;
+   only when no whole response arrived is the send error what the
+   caller sees. *)
 let request c req =
   match
     output_string c.oc (Protocol.request_line req);
     flush c.oc
   with
-  | exception Sys_error msg -> Error (Printf.sprintf "send failed: %s" msg)
-  | () -> (
-      match input_line c.ic with
-      | exception End_of_file ->
-          Error "connection closed mid-response (torn or server gone)"
-      | exception Sys_error msg -> Error (Printf.sprintf "receive failed: %s" msg)
-      | line -> (
-          match Protocol.parse_response line with
-          | Ok resp -> Ok resp
-          | Error msg -> Error (Printf.sprintf "protocol error: %s" msg)))
+  | () -> read_response c
+  | exception Sys_error msg -> (
+      let send_failed = Error (Printf.sprintf "send failed: %s" msg) in
+      match Unix.select [ Unix.descr_of_in_channel c.ic ] [] [] 0. with
+      | [], _, _ -> send_failed
+      | _ -> ( match read_response c with Ok _ as resp -> resp | Error _ -> send_failed)
+      | exception Unix.Unix_error _ -> send_failed)
 
 let roundtrip ~socket req =
   match connect ~socket with

@@ -12,7 +12,11 @@ val connect : socket:string -> (connection, string) result
 
 val request : connection -> Protocol.request -> (Protocol.response, string) result
 (** Send one request line, block for one response line. The connection
-    stays usable for further requests on success. *)
+    stays usable for further requests on success. When the send fails
+    (the server shed the connection and closed it), a response line the
+    server wrote before closing is still read and returned, so an
+    over-budget client gets the typed {!Protocol.Overloaded} answer
+    rather than a send error. *)
 
 val close : connection -> unit
 

@@ -1,11 +1,10 @@
 (* Newline-delimited JSON protocol for the synthesis daemon.
 
    One request object per line, one response object per line, over a
-   Unix domain socket. Both ends build on Registry.Json — the same
-   parser the registry trusts for its metadata records — so the daemon
-   introduces no second JSON dialect. *)
+   Unix domain socket. Both ends build on Jsonv — the same
+   module every JSON producer in the repository renders with — so the
+   daemon introduces no second JSON dialect. *)
 
-module Json = Registry.Json
 module Key = Registry.Key
 
 type synth_params = {
@@ -57,7 +56,7 @@ type served = {
 type response =
   | Served of served
   | Jobs of served list
-  | Snapshot of Json.t
+  | Snapshot of Jsonv.t
   | Goodbye
   | Refused of string
   | Overloaded of float
@@ -70,62 +69,62 @@ type response =
 let params_fields p =
   List.concat
     [
-      (match p.timeout with Some s -> [ ("timeout", Json.Float s) ] | None -> []);
-      (match p.budget with Some b -> [ ("budget", Json.Int b) ] | None -> []);
-      [ ("retries", Json.Int p.retries) ];
-      [ ("backoff", Json.Float p.backoff) ];
-      [ ("optimize", Json.Bool p.optimize) ];
+      (match p.timeout with Some s -> [ ("timeout", Jsonv.Float s) ] | None -> []);
+      (match p.budget with Some b -> [ ("budget", Jsonv.Int b) ] | None -> []);
+      [ ("retries", Jsonv.Int p.retries) ];
+      [ ("backoff", Jsonv.Float p.backoff) ];
+      [ ("optimize", Jsonv.Bool p.optimize) ];
       (match p.deadline with
-      | Some d -> [ ("deadline", Json.Float d) ]
+      | Some d -> [ ("deadline", Jsonv.Float d) ]
       | None -> []);
     ]
 
 let request_to_json = function
-  | Lookup key -> Json.Obj [ ("op", Json.Str "lookup"); ("key", Key.to_json key) ]
+  | Lookup key -> Jsonv.Obj [ ("op", Jsonv.Str "lookup"); ("key", Key.to_json key) ]
   | Synth (key, p) ->
-      Json.Obj (("op", Json.Str "synth") :: ("key", Key.to_json key) :: params_fields p)
+      Jsonv.Obj (("op", Jsonv.Str "synth") :: ("key", Key.to_json key) :: params_fields p)
   | Batch (keys, p) ->
-      Json.Obj
-        (("op", Json.Str "batch")
-        :: ("jobs", Json.Arr (List.map Key.to_json keys))
+      Jsonv.Obj
+        (("op", Jsonv.Str "batch")
+        :: ("jobs", Jsonv.Arr (List.map Key.to_json keys))
         :: params_fields p)
-  | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
-  | Shutdown -> Json.Obj [ ("op", Json.Str "shutdown") ]
+  | Stats -> Jsonv.Obj [ ("op", Jsonv.Str "stats") ]
+  | Shutdown -> Jsonv.Obj [ ("op", Jsonv.Str "shutdown") ]
 
 let ( let* ) = Result.bind
 
 let params_of_json j =
   let field name conv default =
-    match Json.member name j with
-    | None | Some Json.Null -> Ok default
+    match Jsonv.member name j with
+    | None | Some Jsonv.Null -> Ok default
     | Some v -> conv v
   in
   let* timeout =
-    field "timeout" (fun v -> Result.map Option.some (Json.to_float v)) None
+    field "timeout" (fun v -> Result.map Option.some (Jsonv.to_float v)) None
   in
-  let* budget = field "budget" (fun v -> Result.map Option.some (Json.to_int v)) None in
-  let* retries = field "retries" Json.to_int default_params.retries in
-  let* backoff = field "backoff" Json.to_float default_params.backoff in
+  let* budget = field "budget" (fun v -> Result.map Option.some (Jsonv.to_int v)) None in
+  let* retries = field "retries" Jsonv.to_int default_params.retries in
+  let* backoff = field "backoff" Jsonv.to_float default_params.backoff in
   let* optimize =
     field "optimize"
-      (function Json.Bool b -> Ok b | _ -> Error "optimize: expected bool")
+      (function Jsonv.Bool b -> Ok b | _ -> Error "optimize: expected bool")
       default_params.optimize
   in
   let* deadline =
-    field "deadline" (fun v -> Result.map Option.some (Json.to_float v)) None
+    field "deadline" (fun v -> Result.map Option.some (Jsonv.to_float v)) None
   in
   if retries < 0 then Error "retries: must be >= 0"
   else if backoff < 0. then Error "backoff: must be >= 0"
   else Ok { timeout; budget; retries; backoff; optimize; deadline }
 
 let request_of_json j =
-  match Json.member "op" j with
+  match Jsonv.member "op" j with
   | None -> Error "request: missing \"op\""
   | Some op -> (
-      let* op = Json.to_str op in
+      let* op = Jsonv.to_str op in
       match op with
       | "lookup" | "synth" -> (
-          match Json.member "key" j with
+          match Jsonv.member "key" j with
           | None -> Error (Printf.sprintf "%s: missing \"key\"" op)
           | Some kj ->
               let* key = Key.of_json kj in
@@ -134,10 +133,10 @@ let request_of_json j =
                 let* p = params_of_json j in
                 Ok (Synth (key, p)))
       | "batch" -> (
-          match Json.member "jobs" j with
+          match Jsonv.member "jobs" j with
           | None -> Error "batch: missing \"jobs\""
           | Some jobs ->
-              let* jobs = Json.to_list jobs in
+              let* jobs = Jsonv.to_list jobs in
               let* keys =
                 List.fold_left
                   (fun acc kj ->
@@ -153,78 +152,78 @@ let request_of_json j =
       | other -> Error (Printf.sprintf "request: unknown op %S" other))
 
 let parse_request line =
-  let* j = Json.parse line in
+  let* j = Jsonv.parse line in
   request_of_json j
 
 (* ---------- responses ---------- *)
 
-let opt_str = function Some s -> Json.Str s | None -> Json.Null
-let opt_int = function Some i -> Json.Int i | None -> Json.Null
-let opt_float = function Some f -> Json.Float f | None -> Json.Null
+let opt_str = function Some s -> Jsonv.Str s | None -> Jsonv.Null
+let opt_int = function Some i -> Jsonv.Int i | None -> Jsonv.Null
+let opt_float = function Some f -> Jsonv.Float f | None -> Jsonv.Null
 
 let served_fields s =
   [
-    ("status", Json.Str s.status);
+    ("status", Jsonv.Str s.status);
     ("source", opt_str s.source);
-    ("canonical", Json.Str s.canonical);
+    ("canonical", Jsonv.Str s.canonical);
     ("kernel", opt_str s.kernel);
     ("length", opt_int s.length);
-    ("degraded", Json.Bool s.degraded);
-    ("rung", Json.Int s.rung);
-    ("attempts", Json.Int s.attempts);
-    ("elapsed_s", Json.Float s.elapsed);
-    ("coalesced", Json.Bool s.coalesced);
+    ("degraded", Jsonv.Bool s.degraded);
+    ("rung", Jsonv.Int s.rung);
+    ("attempts", Jsonv.Int s.attempts);
+    ("elapsed_s", Jsonv.Float s.elapsed);
+    ("coalesced", Jsonv.Bool s.coalesced);
     ("error", opt_str s.error);
     ("retry_after_s", opt_float s.retry_after);
   ]
 
 let response_to_json = function
   | Served s ->
-      Json.Obj (("ok", Json.Bool true) :: ("type", Json.Str "served") :: served_fields s)
+      Jsonv.Obj (("ok", Jsonv.Bool true) :: ("type", Jsonv.Str "served") :: served_fields s)
   | Jobs jobs ->
-      Json.Obj
+      Jsonv.Obj
         [
-          ("ok", Json.Bool true);
-          ("type", Json.Str "jobs");
-          ("jobs", Json.Arr (List.map (fun s -> Json.Obj (served_fields s)) jobs));
+          ("ok", Jsonv.Bool true);
+          ("type", Jsonv.Str "jobs");
+          ("jobs", Jsonv.Arr (List.map (fun s -> Jsonv.Obj (served_fields s)) jobs));
         ]
   | Snapshot j ->
-      Json.Obj [ ("ok", Json.Bool true); ("type", Json.Str "stats"); ("stats", j) ]
-  | Goodbye -> Json.Obj [ ("ok", Json.Bool true); ("type", Json.Str "goodbye") ]
-  | Refused msg -> Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]
+      Jsonv.Obj [ ("ok", Jsonv.Bool true); ("type", Jsonv.Str "stats"); ("stats", j) ]
+  | Goodbye -> Jsonv.Obj [ ("ok", Jsonv.Bool true); ("type", Jsonv.Str "goodbye") ]
+  | Refused msg -> Jsonv.Obj [ ("ok", Jsonv.Bool false); ("error", Jsonv.Str msg) ]
   | Overloaded retry_after ->
-      Json.Obj
+      Jsonv.Obj
         [
-          ("ok", Json.Bool false);
-          ("type", Json.Str "overloaded");
-          ("error", Json.Str "server overloaded: connection budget exhausted");
-          ("retry_after_s", Json.Float retry_after);
+          ("ok", Jsonv.Bool false);
+          ("type", Jsonv.Str "overloaded");
+          ("error", Jsonv.Str "server overloaded: connection budget exhausted");
+          ("retry_after_s", Jsonv.Float retry_after);
         ]
 
 let served_of_json j =
   let str name =
-    match Json.member name j with
-    | Some (Json.Str s) -> Ok s
+    match Jsonv.member name j with
+    | Some (Jsonv.Str s) -> Ok s
     | _ -> Error (Printf.sprintf "served: missing %S" name)
   in
   let ostr name =
-    match Json.member name j with Some (Json.Str s) -> Some s | _ -> None
+    match Jsonv.member name j with Some (Jsonv.Str s) -> Some s | _ -> None
   in
   let oint name =
-    match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
+    match Jsonv.member name j with Some (Jsonv.Int i) -> Some i | _ -> None
   in
   let bool name =
-    match Json.member name j with Some (Json.Bool b) -> b | _ -> false
+    match Jsonv.member name j with Some (Jsonv.Bool b) -> b | _ -> false
   in
   let num name default =
-    match Json.member name j with
-    | Some v -> ( match Json.to_float v with Ok f -> f | Error _ -> default)
+    match Jsonv.member name j with
+    | Some v -> ( match Jsonv.to_float v with Ok f -> f | Error _ -> default)
     | None -> default
   in
   let onum name =
-    match Json.member name j with
-    | Some (Json.Null) | None -> None
-    | Some v -> ( match Json.to_float v with Ok f -> Some f | Error _ -> None)
+    match Jsonv.member name j with
+    | Some (Jsonv.Null) | None -> None
+    | Some v -> ( match Jsonv.to_float v with Ok f -> Some f | Error _ -> None)
   in
   let* status = str "status" in
   let* canonical = str "canonical" in
@@ -245,26 +244,26 @@ let served_of_json j =
     }
 
 let response_of_json j =
-  match Json.member "ok" j with
-  | Some (Json.Bool false) -> (
-      match Json.member "type" j with
-      | Some (Json.Str "overloaded") ->
+  match Jsonv.member "ok" j with
+  | Some (Jsonv.Bool false) -> (
+      match Jsonv.member "type" j with
+      | Some (Jsonv.Str "overloaded") ->
           let retry_after =
-            match Json.member "retry_after_s" j with
-            | Some v -> ( match Json.to_float v with Ok f -> f | Error _ -> 0.1)
+            match Jsonv.member "retry_after_s" j with
+            | Some v -> ( match Jsonv.to_float v with Ok f -> f | Error _ -> 0.1)
             | None -> 0.1
           in
           Ok (Overloaded retry_after)
       | _ -> (
-          match Json.member "error" j with
-          | Some (Json.Str msg) -> Ok (Refused msg)
+          match Jsonv.member "error" j with
+          | Some (Jsonv.Str msg) -> Ok (Refused msg)
           | _ -> Ok (Refused "unspecified server error")))
-  | Some (Json.Bool true) -> (
-      match Json.member "type" j with
-      | Some (Json.Str "served") -> Result.map (fun s -> Served s) (served_of_json j)
-      | Some (Json.Str "jobs") -> (
-          match Json.member "jobs" j with
-          | Some (Json.Arr jobs) ->
+  | Some (Jsonv.Bool true) -> (
+      match Jsonv.member "type" j with
+      | Some (Jsonv.Str "served") -> Result.map (fun s -> Served s) (served_of_json j)
+      | Some (Jsonv.Str "jobs") -> (
+          match Jsonv.member "jobs" j with
+          | Some (Jsonv.Arr jobs) ->
               let* served =
                 List.fold_left
                   (fun acc sj ->
@@ -275,18 +274,18 @@ let response_of_json j =
               in
               Ok (Jobs (List.rev served))
           | _ -> Error "jobs response: missing \"jobs\" array")
-      | Some (Json.Str "stats") -> (
-          match Json.member "stats" j with
+      | Some (Jsonv.Str "stats") -> (
+          match Jsonv.member "stats" j with
           | Some stats -> Ok (Snapshot stats)
           | None -> Error "stats response: missing \"stats\"")
-      | Some (Json.Str "goodbye") -> Ok Goodbye
-      | Some (Json.Str other) -> Error (Printf.sprintf "response: unknown type %S" other)
+      | Some (Jsonv.Str "goodbye") -> Ok Goodbye
+      | Some (Jsonv.Str other) -> Error (Printf.sprintf "response: unknown type %S" other)
       | _ -> Error "response: missing \"type\"")
   | _ -> Error "response: missing \"ok\""
 
 let parse_response line =
-  let* j = Json.parse line in
+  let* j = Jsonv.parse line in
   response_of_json j
 
-let request_line r = Json.to_string (request_to_json r) ^ "\n"
-let response_line r = Json.to_string (response_to_json r) ^ "\n"
+let request_line r = Jsonv.to_string (request_to_json r) ^ "\n"
+let response_line r = Jsonv.to_string (response_to_json r) ^ "\n"

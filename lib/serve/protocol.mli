@@ -79,7 +79,7 @@ type served = {
 type response =
   | Served of served
   | Jobs of served list  (** Input order. *)
-  | Snapshot of Registry.Json.t  (** The [stats] counter object. *)
+  | Snapshot of Jsonv.t  (** The [stats] counter object. *)
   | Goodbye  (** Shutdown acknowledged; the daemon exits after sending. *)
   | Refused of string  (** Malformed or unserveable request. *)
   | Overloaded of float
@@ -87,12 +87,12 @@ type response =
           and refuses the whole connection — typed, never a silent
           close. Carries the retry_after hint in seconds. *)
 
-val request_to_json : request -> Registry.Json.t
-val request_of_json : Registry.Json.t -> (request, string) result
+val request_to_json : request -> Jsonv.t
+val request_of_json : Jsonv.t -> (request, string) result
 val parse_request : string -> (request, string) result
 
-val response_to_json : response -> Registry.Json.t
-val response_of_json : Registry.Json.t -> (response, string) result
+val response_to_json : response -> Jsonv.t
+val response_of_json : Jsonv.t -> (response, string) result
 val parse_response : string -> (response, string) result
 
 val request_line : request -> string

@@ -28,7 +28,6 @@ module Key = Registry.Key
 module Store = Registry.Store
 module Verify = Registry.Verify
 module Scheduler = Registry.Scheduler
-module Json = Registry.Json
 
 type config = {
   socket_path : string;
@@ -510,93 +509,93 @@ let snapshot t =
   let registry =
     locked t.store_mutex (fun () ->
         let c = t.store_counters in
-        Json.Obj
+        Jsonv.Obj
           [
-            ("hits", Json.Int c.Store.hits);
-            ("misses", Json.Int c.Store.misses);
-            ("quarantined", Json.Int c.Store.quarantined);
-            ("inserted", Json.Int c.Store.inserted);
-            ("recovered", Json.Int c.Store.recovered);
+            ("hits", Jsonv.Int c.Store.hits);
+            ("misses", Jsonv.Int c.Store.misses);
+            ("quarantined", Jsonv.Int c.Store.quarantined);
+            ("inserted", Jsonv.Int c.Store.inserted);
+            ("recovered", Jsonv.Int c.Store.recovered);
           ])
   in
   let bc = Breaker.counters t.breaker in
   let breaker =
-    Json.Obj
+    Jsonv.Obj
       [
-        ("threshold", Json.Int t.cfg.breaker_threshold);
-        ("cooldown_s", Json.Float t.cfg.breaker_cooldown);
-        ("trips", Json.Int bc.Breaker.trips);
-        ("half_opens", Json.Int bc.Breaker.half_opens);
-        ("recoveries", Json.Int bc.Breaker.recoveries);
-        ("rejections", Json.Int bc.Breaker.rejections);
+        ("threshold", Jsonv.Int t.cfg.breaker_threshold);
+        ("cooldown_s", Jsonv.Float t.cfg.breaker_cooldown);
+        ("trips", Jsonv.Int bc.Breaker.trips);
+        ("half_opens", Jsonv.Int bc.Breaker.half_opens);
+        ("recoveries", Jsonv.Int bc.Breaker.recoveries);
+        ("rejections", Jsonv.Int bc.Breaker.rejections);
         ( "keys",
-          Json.Arr
+          Jsonv.Arr
             (List.map
                (fun (canonical, state, failures) ->
-                 Json.Obj
+                 Jsonv.Obj
                    [
-                     ("key", Json.Str canonical);
-                     ("state", Json.Str state);
-                     ("failures", Json.Int failures);
+                     ("key", Jsonv.Str canonical);
+                     ("state", Jsonv.Str state);
+                     ("failures", Jsonv.Int failures);
                    ])
                (List.sort compare (Breaker.tracked t.breaker))) );
       ]
   in
   let sheds =
-    Json.Obj
+    Jsonv.Obj
       [
-        ("queue_full", Json.Int (Atomic.get t.shed_queue_full));
-        ("deadline_expired", Json.Int (Atomic.get t.shed_deadline));
-        ("circuit_open", Json.Int (Atomic.get t.shed_circuit));
-        ("conn_budget", Json.Int (Atomic.get t.shed_conn_budget));
-        ("draining", Json.Int (Atomic.get t.shed_draining));
+        ("queue_full", Jsonv.Int (Atomic.get t.shed_queue_full));
+        ("deadline_expired", Jsonv.Int (Atomic.get t.shed_deadline));
+        ("circuit_open", Jsonv.Int (Atomic.get t.shed_circuit));
+        ("conn_budget", Jsonv.Int (Atomic.get t.shed_conn_budget));
+        ("draining", Jsonv.Int (Atomic.get t.shed_draining));
       ]
   in
   let snapshot_block =
-    Json.Obj
+    Jsonv.Obj
       [
-        ("restored", Json.Int (Atomic.get t.snapshot_restored));
-        ("written", Json.Int (Atomic.get t.snapshot_written));
+        ("restored", Jsonv.Int (Atomic.get t.snapshot_restored));
+        ("written", Jsonv.Int (Atomic.get t.snapshot_written));
       ]
   in
-  Json.Obj
+  Jsonv.Obj
     [
       ( "serve",
-        Json.Obj
+        Jsonv.Obj
           [
-            ("requests", Json.Int (Atomic.get t.requests));
-            ("cache_hits", Json.Int ls.Lru.hits);
-            ("cache_misses", Json.Int ls.Lru.misses);
-            ("coalesced", Json.Int (Atomic.get t.coalesced));
-            ("evictions", Json.Int ls.Lru.evictions);
-            ("inflight", Json.Int (Atomic.get t.inflight));
-            ("searches", Json.Int (Atomic.get t.searches));
-            ("recover_runs", Json.Int (Atomic.get t.recover_runs));
-            ("worker_deaths", Json.Int (Pool.worker_deaths t.pool));
-            ("torn_connections", Json.Int (Atomic.get t.torn_connections));
-            ("connections", Json.Int (Atomic.get t.connections));
-            ("active_conns", Json.Int (Atomic.get t.active_conns));
-            ("max_conns", Json.Int t.cfg.max_conns);
-            ("queued", Json.Int (Pool.queued t.pool));
-            ("queue_hwm", Json.Int (Pool.queue_hwm t.pool));
-            ("max_queue", Json.Int t.cfg.max_queue);
-            ("draining", Json.Bool (Atomic.get t.draining));
+            ("requests", Jsonv.Int (Atomic.get t.requests));
+            ("cache_hits", Jsonv.Int ls.Lru.hits);
+            ("cache_misses", Jsonv.Int ls.Lru.misses);
+            ("coalesced", Jsonv.Int (Atomic.get t.coalesced));
+            ("evictions", Jsonv.Int ls.Lru.evictions);
+            ("inflight", Jsonv.Int (Atomic.get t.inflight));
+            ("searches", Jsonv.Int (Atomic.get t.searches));
+            ("recover_runs", Jsonv.Int (Atomic.get t.recover_runs));
+            ("worker_deaths", Jsonv.Int (Pool.worker_deaths t.pool));
+            ("torn_connections", Jsonv.Int (Atomic.get t.torn_connections));
+            ("connections", Jsonv.Int (Atomic.get t.connections));
+            ("active_conns", Jsonv.Int (Atomic.get t.active_conns));
+            ("max_conns", Jsonv.Int t.cfg.max_conns);
+            ("queued", Jsonv.Int (Pool.queued t.pool));
+            ("queue_hwm", Jsonv.Int (Pool.queue_hwm t.pool));
+            ("max_queue", Jsonv.Int t.cfg.max_queue);
+            ("draining", Jsonv.Bool (Atomic.get t.draining));
             ("shed", sheds);
             ("breaker", breaker);
             ("snapshot", snapshot_block);
-            ("lru_size", Json.Int ls.Lru.size);
-            ("lru_capacity", Json.Int (Lru.capacity t.lru));
-            ("workers", Json.Int (Pool.size t.pool));
-            ("uptime_s", Json.Float (Fault.Clock.now () -. t.started));
+            ("lru_size", Jsonv.Int ls.Lru.size);
+            ("lru_capacity", Jsonv.Int (Lru.capacity t.lru));
+            ("workers", Jsonv.Int (Pool.size t.pool));
+            ("uptime_s", Jsonv.Float (Fault.Clock.now () -. t.started));
           ] );
       ("registry", registry);
       ( "process",
-        Json.Obj
+        Jsonv.Obj
           [
-            ("readdir_calls", Json.Int (Store.readdir_calls ()));
-            ("certifications", Json.Int (Verify.certifications ()));
-            ("symbolic_proofs", Json.Int (Verify.symbolic_proofs ()));
-            ("exact_fallbacks", Json.Int (Verify.exact_fallbacks ()));
+            ("readdir_calls", Jsonv.Int (Store.readdir_calls ()));
+            ("certifications", Jsonv.Int (Verify.certifications ()));
+            ("symbolic_proofs", Jsonv.Int (Verify.symbolic_proofs ()));
+            ("exact_fallbacks", Jsonv.Int (Verify.exact_fallbacks ()));
           ] );
     ]
 

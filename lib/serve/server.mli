@@ -85,7 +85,7 @@ val drain : t -> unit
     on the warped {!Fault.Clock}, persist the warm-set snapshot.
     Idempotent; {!run} calls it on the way out. *)
 
-val snapshot : t -> Registry.Json.t
+val snapshot : t -> Jsonv.t
 (** The [stats] response body: the [serve] block (request/cache/coalesce
     counters, queue depth + high-water mark, shed counts by reason, the
     breaker block with per-key state, snapshot restored/written, LRU

@@ -67,11 +67,11 @@ let test_key_json () =
   | Ok k' -> assert (Registry.Key.equal k k')
   | Error m -> Alcotest.fail m);
   (* Batch-job shorthand: only "n" required, numeric cut factor allowed. *)
-  (match Result.bind (Registry.Json.parse {|{"n": 3, "cut": 0}|}) Registry.Key.of_json with
+  (match Result.bind (Jsonv.parse {|{"n": 3, "cut": 0}|}) Registry.Key.of_json with
   | Ok k' ->
       assert (Registry.Key.equal k' (Registry.Key.make ~cut:Search.No_cut 3))
   | Error m -> Alcotest.fail m);
-  match Result.bind (Registry.Json.parse {|{"m": 1}|}) Registry.Key.of_json with
+  match Result.bind (Jsonv.parse {|{"m": 1}|}) Registry.Key.of_json with
   | Ok _ -> Alcotest.fail "accepted job without n"
   | Error _ -> ()
 
@@ -80,7 +80,7 @@ let test_key_json () =
 
 let test_json_roundtrip () =
   let v =
-    Registry.Json.(
+    Jsonv.(
       Obj
         [
           ("a", Arr [ Int 1; Float 2.5; Null; Bool true ]);
@@ -88,16 +88,13 @@ let test_json_roundtrip () =
           ("nested", Obj [ ("empty", Arr []); ("eo", Obj []) ]);
         ])
   in
-  let s = Registry.Json.to_string v in
-  (match Search.Stats.validate_json s with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail ("emitted JSON invalid: " ^ m));
-  (match Registry.Json.parse s with
+  let s = Jsonv.to_string v in
+  (match Jsonv.parse s with
   | Ok v' -> assert (v = v')
   | Error m -> Alcotest.fail m);
   List.iter
     (fun bad ->
-      match Registry.Json.parse bad with
+      match Jsonv.parse bad with
       | Ok _ -> Alcotest.fail ("accepted: " ^ bad)
       | Error _ -> ())
     [ "{"; "[1,]"; "1 2"; "\"unterminated"; "{\"a\" 1}"; "nul" ]
@@ -132,8 +129,8 @@ let test_store_roundtrip () =
   check Alcotest.int "misses" 1 counters.Registry.Store.misses;
   check Alcotest.int "inserted" 1 counters.Registry.Store.inserted;
   check Alcotest.int "quarantined" 0 counters.Registry.Store.quarantined;
-  (match Search.Stats.validate_json (Registry.Store.counters_json counters) with
-  | Ok () -> ()
+  (match Jsonv.parse (Jsonv.to_string (Registry.Store.counters_json counters)) with
+  | Ok _ -> ()
   | Error m -> Alcotest.fail m);
   (* A key differing only in an option must miss. *)
   let other = Registry.Key.make ~heuristic:Search.No_heuristic 3 in
@@ -198,17 +195,17 @@ let test_store_lint_quarantine () =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  (match Registry.Json.parse (read_all meta_path) with
-  | Ok (Registry.Json.Obj fields) ->
+  (match Jsonv.parse (read_all meta_path) with
+  | Ok (Jsonv.Obj fields) ->
       let fields =
         List.map
           (function
-            | "length", _ -> ("length", Registry.Json.Int 5)
+            | "length", _ -> ("length", Jsonv.Int 5)
             | kv -> kv)
           fields
       in
       let oc = open_out_bin meta_path in
-      output_string oc (Registry.Json.to_string (Registry.Json.Obj fields));
+      output_string oc (Jsonv.to_string (Jsonv.Obj fields));
       close_out oc
   | _ -> Alcotest.fail "meta.json unreadable");
   (* Without lint the tampered entry still certifies and is served. *)
@@ -324,8 +321,8 @@ let test_batch_matches_sequential () =
     b.Registry.Scheduler.results b2.Registry.Scheduler.results;
   check Alcotest.int "all hits" (List.length jobs)
     b2.Registry.Scheduler.counters.Registry.Store.hits;
-  match Search.Stats.validate_json (Registry.Scheduler.batch_json b2) with
-  | Ok () -> ()
+  match Jsonv.parse (Registry.Scheduler.batch_json b2) with
+  | Ok _ -> ()
   | Error m -> Alcotest.fail ("batch JSON invalid: " ^ m)
 
 let test_batch_timeout_and_failure () =

@@ -131,9 +131,17 @@ let test_stats_sanity () =
 let test_stats_json_well_formed () =
   let cfg = Isa.Config.default 3 in
   let r = Search.run ~opts:{ Search.best with Search.trace_every = Some 50 } cfg in
-  let json = Search.stats_json ~label:"test n=3" r in
-  (match Search.Stats.validate_json json with
-  | Ok () -> ()
+  let json = Jsonv.to_string (Search.Stats.to_json ~label:"test n=3" r.Search.stats) in
+  (* Parsed back, the wall-clock float keeps every bit: the snapshot is
+     not a lossy rendering of the run. *)
+  (match Jsonv.parse json with
+  | Ok v -> (
+      match Option.bind (Jsonv.member "counters" v) (Jsonv.member "elapsed_s") with
+      | Some (Jsonv.Float x) ->
+          check Alcotest.int64 "elapsed_s round-trips bit for bit"
+            (Int64.bits_of_float r.Search.stats.Search.elapsed)
+            (Int64.bits_of_float x)
+      | _ -> Alcotest.failf "stats JSON lacks counters.elapsed_s\n%s" json)
   | Error e -> Alcotest.failf "stats JSON malformed: %s\n%s" e json);
   let contains needle =
     let nl = String.length needle and jl = String.length json in
@@ -223,30 +231,6 @@ let test_prune_attribution_identity () =
   let loose = { Search.default with Search.max_len = Some 11 } in
   assert_level_identity "astar-loose" (Search.run ~opts:loose cfg).Search.stats
 
-let test_validate_json_rejects_garbage () =
-  let bad s =
-    match Search.Stats.validate_json s with
-    | Ok () -> Alcotest.failf "accepted invalid JSON: %s" s
-    | Error _ -> ()
-  in
-  bad "";
-  bad "{";
-  bad {|{"a":1,}|};
-  bad {|[1, 2,]|};
-  bad {|{"a" 1}|};
-  bad {|"unterminated|};
-  bad "nul";
-  bad "1.2.3";
-  bad {|{"a":1} trailing|};
-  let good s =
-    match Search.Stats.validate_json s with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "rejected valid JSON %s: %s" s e
-  in
-  good "{}";
-  good "[]";
-  good {|{"a":[1,-2.5e3,true,false,null,"x\nA"]}|}
-
 let test_bound_too_small_returns_none () =
   let cfg = Isa.Config.default 2 in
   let opts = { Search.default with Search.max_len = Some 2 } in
@@ -298,8 +282,6 @@ let () =
             test_cut_threshold_rounding;
           Alcotest.test_case "prune attribution identity" `Quick
             test_prune_attribution_identity;
-          Alcotest.test_case "JSON validator rejects garbage" `Quick
-            test_validate_json_rejects_garbage;
           Alcotest.test_case "trace collection" `Quick test_trace_collection;
           Alcotest.test_case "bound too small" `Quick
             test_bound_too_small_returns_none;

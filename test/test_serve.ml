@@ -40,10 +40,10 @@ let served_exn = function
 let serve_counter snapshot name =
   match
     Option.bind
-      (Registry.Json.member "serve" snapshot)
-      (Registry.Json.member name)
+      (Jsonv.member "serve" snapshot)
+      (Jsonv.member name)
   with
-  | Some (Registry.Json.Int n) -> n
+  | Some (Jsonv.Int n) -> n
   | _ -> Alcotest.fail ("stats: missing serve counter " ^ name)
 
 (* Walk a path of object members down the stats snapshot to an int. *)
@@ -51,10 +51,10 @@ let serve_nested snapshot path =
   let rec go j = function
     | [] -> (
         match j with
-        | Registry.Json.Int n -> n
+        | Jsonv.Int n -> n
         | _ -> Alcotest.fail ("stats: not an int at " ^ String.concat "." path))
     | name :: rest -> (
-        match Registry.Json.member name j with
+        match Jsonv.member name j with
         | Some v -> go v rest
         | None ->
             Alcotest.fail
@@ -160,8 +160,8 @@ let test_protocol_roundtrip () =
       | Error msg -> Alcotest.fail msg
       | Ok req' ->
           check Alcotest.string "request roundtrip"
-            (Registry.Json.to_string (Serve.Protocol.request_to_json req))
-            (Registry.Json.to_string (Serve.Protocol.request_to_json req')))
+            (Jsonv.to_string (Serve.Protocol.request_to_json req))
+            (Jsonv.to_string (Serve.Protocol.request_to_json req')))
     reqs;
   (* Re-print stability above cannot see a lossy printer (both sides
      round identically); the deadline must come back bit-exact. *)
@@ -209,8 +209,8 @@ let test_protocol_roundtrip () =
       | Error msg -> Alcotest.fail msg
       | Ok resp' ->
           check Alcotest.string "response roundtrip"
-            (Registry.Json.to_string (Serve.Protocol.response_to_json resp))
-            (Registry.Json.to_string (Serve.Protocol.response_to_json resp')))
+            (Jsonv.to_string (Serve.Protocol.response_to_json resp))
+            (Jsonv.to_string (Serve.Protocol.response_to_json resp')))
     [
       Serve.Protocol.Served served;
       Serve.Protocol.Served shed;
@@ -816,8 +816,8 @@ let test_stats_schema () =
   Fun.protect ~finally:(fun () -> Serve.Server.destroy srv) @@ fun () ->
   ignore (served_exn (Serve.Server.handle srv (synth_req key2)));
   let snap = Serve.Server.snapshot srv in
-  (match Search.Stats.validate_json (Registry.Json.to_string snap) with
-  | Ok () -> ()
+  (match Jsonv.parse (Jsonv.to_string snap) with
+  | Ok _ -> ()
   | Error msg -> Alcotest.fail ("stats snapshot not valid JSON: " ^ msg));
   List.iter
     (fun name -> ignore (serve_counter snap name))
@@ -841,17 +841,17 @@ let test_stats_schema () =
       [ "serve"; "snapshot"; "written" ];
     ];
   (match
-     Option.bind (Registry.Json.member "serve" snap)
-       (Registry.Json.member "draining")
+     Option.bind (Jsonv.member "serve" snap)
+       (Jsonv.member "draining")
    with
-  | Some (Registry.Json.Bool false) -> ()
+  | Some (Jsonv.Bool false) -> ()
   | _ -> Alcotest.fail "stats: missing serve.draining bool");
   match
-    Option.bind (Registry.Json.member "serve" snap) (fun s ->
-        Option.bind (Registry.Json.member "breaker" s)
-          (Registry.Json.member "keys"))
+    Option.bind (Jsonv.member "serve" snap) (fun s ->
+        Option.bind (Jsonv.member "breaker" s)
+          (Jsonv.member "keys"))
   with
-  | Some (Registry.Json.Arr _) -> ()
+  | Some (Jsonv.Arr _) -> ()
   | _ -> Alcotest.fail "stats: missing serve.breaker.keys array"
 
 (* Server-side batch fan-out: one Batch request spreads across the pool,
@@ -947,6 +947,9 @@ let with_running_server config f =
          ignore
            (Serve.Client.roundtrip ~socket:config.Serve.Server.socket_path
               Serve.Protocol.Shutdown));
+      (* A server that sheds every connection never admits that Shutdown:
+         stop it directly, or the join below waits forever. *)
+      if not (Serve.Server.stopped srv) then Serve.Server.drain srv;
       Thread.join th)
     (fun () -> f srv)
 
@@ -1007,6 +1010,32 @@ let test_connection_budget_sheds () =
     >= 1);
   (* Stop the daemon directly — a shed connection can't carry Shutdown. *)
   Serve.Server.drain srv
+
+(* Regression: the shed line outlives the send error. The zero-budget
+   server writes its typed Overloaded line and closes before our request
+   goes out, so the client's write fails with EPIPE; the client must still
+   return that line (the CLI's exit 6), not "send failed" (exit 5). The
+   accept loop sheds connections one at a time in arrival order, so once
+   a second connection's shed line is readable, the first connection's
+   line is written and its server end is closed — no sleeps involved. *)
+let test_shed_before_send_is_typed () =
+  let socket = Filename.concat (fresh_root ()) "synthd.sock" in
+  let config = { (default_config (fresh_root ()) socket) with max_conns = 0 } in
+  with_running_server config @@ fun _srv ->
+  let c =
+    match Serve.Client.connect ~socket with Ok c -> c | Error msg -> Alcotest.fail msg
+  in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  let barrier = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close barrier) @@ fun () ->
+  Unix.connect barrier (Unix.ADDR_UNIX socket);
+  (match Unix.select [ barrier ] [] [] 30. with
+  | [], _, _ -> Alcotest.fail "second connection was not shed within 30 s"
+  | _ -> ());
+  match Serve.Client.request c (Serve.Protocol.Lookup key2) with
+  | Ok (Serve.Protocol.Overloaded r) -> check Alcotest.bool "retry hint" true (r > 0.)
+  | Ok _ -> Alcotest.fail "shed connection got a non-overloaded answer"
+  | Error msg -> Alcotest.fail msg
 
 (* ------------------------------------------------------------------ *)
 (* Sharded store migration round-trip.                                 *)
@@ -1117,6 +1146,8 @@ let () =
             test_breaker_probe_shed_then_recovers;
           Alcotest.test_case "connection budget sheds" `Slow
             test_connection_budget_sheds;
+          Alcotest.test_case "shed before send is typed" `Quick
+            test_shed_before_send_is_typed;
         ] );
       ( "migrate",
         [ Alcotest.test_case "roundtrip" `Quick test_migrate_roundtrip ] );
