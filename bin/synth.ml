@@ -28,8 +28,9 @@
 
    Exit codes:
      0  success
-     1  lint / verification / synthesis failure (or mixed batch failures;
-        for equiv: the kernels differ)
+     1  lint / verification / synthesis failure, including no kernel
+        within --max-len (or mixed batch failures; for equiv: the
+        kernels differ)
      2  the search deadline passed (every retry timed out)
      3  the live-state budget was exhausted even at the final
         degradation rung
@@ -126,15 +127,6 @@ let resolve_root = function
   | Some dir -> dir
   | None -> Registry.Store.default_root ()
 
-(* Verification must survive release builds (asserts do not): print a
-   diagnostic and exit nonzero instead. *)
-let certify_or_die cfg p =
-  match Registry.Verify.certify_fast cfg p with
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "synth: VERIFICATION FAILED: %s\n" msg;
-      exit 1
-
 let zero_stats =
   {
     Search.expanded = 0;
@@ -155,7 +147,6 @@ let zero_stats =
 let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
     scratch cache cache_dir stats_json fault_plan timeout budget optimize =
   setup_faults fault_plan;
-  let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
   let cfg = Isa.Config.make ~n ~m:scratch in
   if pddl then begin
     print_string (Planning.Pddl.domain cfg);
@@ -282,114 +273,77 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
       end
       else None
     in
+    let render p =
+      if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p
+    in
     match hit with
     | Some e ->
         Printf.printf "# registry hit %s: %d instructions, verified on load\n"
           (Registry.Key.hash key) e.Registry.Store.length;
-        print_endline
-          (if x86 then Isa.Program.to_x86 cfg e.Registry.Store.program
-           else Isa.Program.to_string cfg e.Registry.Store.program);
+        print_endline (render e.Registry.Store.program);
         note_analysis e.Registry.Store.program;
         dump_stats zero_stats;
         `Ok ()
     | None ->
-        let outcome =
-          match
-            Registry.Scheduler.run_key ?deadline ~domains:jobs ~mode ?budget key
-          with
-          | o -> o
-          | exception Search.Timeout ->
-              Printf.eprintf "synth: search timed out%s\n"
-                (match timeout with
-                | Some t -> Printf.sprintf " (deadline %.3f s)" t
-                | None -> "");
-              exit exit_timeout
-          | exception Search.Resource_exhausted { live; budget } ->
-              Printf.eprintf
-                "synth: state budget exhausted: %d live states%s (even at \
-                 the final degradation rung)\n"
-                live
-                (match budget with
-                | Some b -> Printf.sprintf " over budget %d" b
-                | None -> ", no budget configured");
-              exit exit_exhausted
+        let module S = Registry.Scheduler in
+        (* A non-existence proof wants the search, not a polished kernel. *)
+        let job =
+          S.run_one ~optimize:(optimize && prove_none = None) ~domains:jobs ~mode
+            ~timeout ~retries:0 ~backoff:0. ~budget key
         in
-        let r = outcome.Registry.Scheduler.result in
-        let degraded = outcome.Registry.Scheduler.degraded in
-        degraded_note := Some (Jsonv.Bool degraded);
-        if degraded then
+        if job.S.search <> None then degraded_note := Some (Jsonv.Bool job.S.degraded);
+        if job.S.degraded then
           Printf.eprintf
             "synth: degraded result (ladder rung %d): the kernel is verified \
              correct but not guaranteed shortest; it will not be cached\n"
-            outcome.Registry.Scheduler.rung;
-        (match mode with
-        | Search.Prove_none l ->
-            Printf.printf
-              (match r.Search.optimal_length with
-              | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
-              | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
-              l r.Search.stats.Search.expanded
-        | _ -> (
-            match r.Search.programs with
-            | [] -> Printf.printf "no kernel found\n"
-            | p0 :: rest ->
-                certify_or_die cfg p0;
-                (* Post-synthesis polish: every pipeline rewrite is
-                   certified bit-identical on all n! permutations, so the
-                   printed/stored kernel still carries the proof above. *)
-                let p, r, provenance =
-                  if not optimize then (p0, r, None)
-                  else begin
-                    let rep = Opt.Pipeline.run cfg p0 in
-                    note_opt rep p0;
-                    let p = rep.Opt.Pipeline.optimized in
-                    List.iter
-                      (fun (d : Opt.Pipeline.delta) ->
-                        Printf.printf
-                          "# opt %s: %d -> %d instructions, %d -> %d \
-                           simulated cycles\n"
-                          d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
-                          d.Opt.Pipeline.instructions_after
-                          d.Opt.Pipeline.cycles_before d.Opt.Pipeline.cycles_after)
-                      rep.Opt.Pipeline.deltas;
-                    List.iter
-                      (fun (f : Opt.Pipeline.refusal) ->
-                        Printf.eprintf "synth: opt: refused %s: %s\n"
-                          f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
-                      rep.Opt.Pipeline.refusals;
-                    if Isa.Program.equal p p0 then (p0, r, None)
-                    else
-                      ( p,
-                        { r with Search.programs = p :: rest },
-                        Some
-                          {
-                            Registry.Store.optimized_from =
-                              Digest.to_hex
-                                (Digest.string (Isa.Program.to_string cfg p0));
-                            passes =
-                              List.map
-                                (fun (d : Opt.Pipeline.delta) ->
-                                  d.Opt.Pipeline.pass)
-                                rep.Opt.Pipeline.deltas;
-                          } )
-                  end
-                in
-                note_analysis p;
-                Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
-                  (Array.length p) r.Search.solution_count
-                  r.Search.stats.Search.elapsed r.Search.stats.Search.expanded;
-                print_endline
-                  (if x86 then Isa.Program.to_x86 cfg p else Isa.Program.to_string cfg p);
-                if cacheable then
-                  match
-                    Registry.Store.insert ~counters ~degraded ?provenance ~root
-                      key r
-                  with
-                  | Ok _ ->
-                      Printf.printf "# registry store %s\n" (Registry.Key.hash key)
-                  | Error msg ->
-                      Printf.eprintf "synth: registry: cannot store kernel: %s\n" msg));
-        dump_stats r.Search.stats;
+            job.S.rung;
+        let code =
+          match (mode, job) with
+          | Search.Prove_none l, { S.search = Some r; _ } ->
+              Printf.printf
+                (match r.Search.optimal_length with
+                | None -> format_of_string "no kernel of length <= %d exists (%d states explored)\n"
+                | Some _ -> format_of_string "a kernel of length <= %d exists! (%d states)\n")
+                l r.Search.stats.Search.expanded;
+              0
+          | _, { S.status = S.Synthesized; program = Some p; search = Some r; _ } ->
+              Option.iter
+                (fun (rep : Opt.Pipeline.report) ->
+                  note_opt rep (List.hd r.Search.programs);
+                  List.iter
+                    (fun (d : Opt.Pipeline.delta) ->
+                      Printf.printf
+                        "# opt %s: %d -> %d instructions, %d -> %d simulated \
+                         cycles\n"
+                        d.Opt.Pipeline.pass d.Opt.Pipeline.instructions_before
+                        d.Opt.Pipeline.instructions_after
+                        d.Opt.Pipeline.cycles_before d.Opt.Pipeline.cycles_after)
+                    rep.Opt.Pipeline.deltas;
+                  List.iter
+                    (fun (f : Opt.Pipeline.refusal) ->
+                      Printf.eprintf "synth: opt: refused %s: %s\n"
+                        f.Opt.Pipeline.pass f.Opt.Pipeline.reason)
+                    rep.Opt.Pipeline.refusals)
+                job.S.opt;
+              note_analysis p;
+              Printf.printf "# %d instructions, %d solutions, %.3f s, %d states\n"
+                (Array.length p) r.Search.solution_count
+                r.Search.stats.Search.elapsed r.Search.stats.Search.expanded;
+              print_endline (render p);
+              (if cacheable then
+                 match S.persist ~counters ~root job with
+                 | Ok _ -> Printf.printf "# registry store %s\n" (Registry.Key.hash key)
+                 | Error msg ->
+                     Printf.eprintf "synth: registry: cannot store kernel: %s\n" msg);
+              0
+          | _ ->
+              Option.iter (Printf.eprintf "synth: %s\n")
+                (Serve.Protocol.of_job job).Serve.Protocol.error;
+              failure_exit [ S.status_string job.S.status ]
+        in
+        dump_stats
+          (match job.S.search with Some r -> r.Search.stats | None -> zero_stats);
+        if code <> 0 then exit code;
         `Ok ()
   end
 
@@ -529,11 +483,84 @@ let default_term =
 (* ------------------------------------------------------------------ *)
 (* batch: run a JSON job list through the registry + scheduler.        *)
 
+let read_file_res path =
+  match open_in_bin path with
+  | ic ->
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Ok s
+  | exception Sys_error msg -> Error msg
+
+(* One printer for local and [--server] batches: a '#' status line per
+   job, then its kernel text. Kernel lines are identical either way; the
+   '#' lines carry the daemon's wording for every status. *)
+let print_jobs keys served =
+  List.iteri
+    (fun i (key, (s : Serve.Protocol.served)) ->
+      let error = Option.value ~default:"" s.Serve.Protocol.error in
+      let retry =
+        match s.Serve.Protocol.retry_after with
+        | Some r -> Printf.sprintf "; retry in %.1f s" r
+        | None -> ""
+      in
+      let tag, note =
+        match s.Serve.Protocol.status with
+        | "cached" ->
+            ( "cached",
+              match s.Serve.Protocol.source with
+              | Some "memory" -> " (served from memory)"
+              | _ -> "" )
+        | "synthesized" when s.Serve.Protocol.degraded ->
+            ( Printf.sprintf "synthesized DEGRADED (rung %d)" s.Serve.Protocol.rung,
+              Printf.sprintf
+                " in %.3f s — correct but not guaranteed shortest; not cached"
+                s.Serve.Protocol.elapsed )
+        | "synthesized" ->
+            ("synthesized", Printf.sprintf " in %.3f s" s.Serve.Protocol.elapsed)
+        | "timed_out" ->
+            ("TIMED OUT", Printf.sprintf " after %d attempts" s.Serve.Protocol.attempts)
+        | "crashed" -> ("CRASHED", ": worker died mid-request; job isolated")
+        | "overloaded" ->
+            ( "OVERLOADED",
+              Printf.sprintf ": %s%s"
+                (if error = "" then "request shed" else error)
+                retry )
+        | "circuit_open" ->
+            ( "CIRCUIT OPEN",
+              Printf.sprintf ": %s%s"
+                (if error = "" then "breaker tripped for this key" else error)
+                retry )
+        | st -> (String.uppercase_ascii st, if error = "" then "" else ": " ^ error)
+      in
+      Printf.printf "# job %d [%s] %s: %s%s\n" i
+        (String.sub (Registry.Key.hash key) 0 12)
+        (Registry.Key.describe key) tag note;
+      Option.iter print_endline s.Serve.Protocol.kernel)
+    (List.combine keys served)
+
+(* A batch exits 0 when every job produced a kernel, else with the exit
+   class of its failures (see [failure_exit]). *)
+let batch_exit (served : Serve.Protocol.served list) =
+  let failed =
+    List.filter_map
+      (fun (s : Serve.Protocol.served) ->
+        match s.Serve.Protocol.status with
+        | "cached" | "synthesized" -> None
+        | st -> Some st)
+      served
+  in
+  if failed <> [] then begin
+    Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
+      (List.length failed) (List.length served);
+    exit (failure_exit failed)
+  end;
+  `Ok ()
+
 (* The thin-client path of [batch --server]: ship the parsed job list to
-   the daemon and print its answers in the local format. The kernel text
-   is byte-identical to a local run — both ends print
-   [Isa.Program.to_string] of the same certified program — only the
-   timing commentary in the '#' lines differs. *)
+   the daemon and print its answers through the same printer as a local
+   run. The kernel text is byte-identical — both ends render the same
+   certified program — only the timing commentary in the '#' lines
+   differs. *)
 let run_batch_remote sock keys timeout retries backoff budget optimize
     stats_json =
   (* Propagate an absolute deadline covering every attempt the server may
@@ -575,95 +602,19 @@ let run_batch_remote sock keys timeout retries backoff budget optimize
           (List.length keys) (List.length served);
         exit exit_unreachable
       end;
-      List.iteri
-        (fun i (key, (s : Serve.Protocol.served)) ->
-          let tag, note =
-            match s.Serve.Protocol.status with
-            | "cached" ->
-                ( "cached",
-                  match s.Serve.Protocol.source with
-                  | Some "memory" -> " (served from memory)"
-                  | _ -> "" )
-            | "synthesized" when s.Serve.Protocol.degraded ->
-                ( Printf.sprintf "synthesized DEGRADED (rung %d)"
-                    s.Serve.Protocol.rung,
-                  Printf.sprintf " in %.3f s — correct but not guaranteed \
-                                  shortest; not cached"
-                    s.Serve.Protocol.elapsed )
-            | "synthesized" ->
-                ("synthesized", Printf.sprintf " in %.3f s" s.Serve.Protocol.elapsed)
-            | "timed_out" ->
-                ( "TIMED OUT",
-                  Printf.sprintf " after %d attempts" s.Serve.Protocol.attempts )
-            | "exhausted" ->
-                ( "EXHAUSTED",
-                  match s.Serve.Protocol.error with
-                  | Some e -> ": " ^ e
-                  | None -> "" )
-            | "crashed" ->
-                ("CRASHED", ": worker died mid-request; job isolated")
-            | "overloaded" ->
-                ( "OVERLOADED",
-                  Printf.sprintf ": %s%s"
-                    (Option.value ~default:"request shed"
-                       s.Serve.Protocol.error)
-                    (match s.Serve.Protocol.retry_after with
-                    | Some r -> Printf.sprintf "; retry in %.1f s" r
-                    | None -> "") )
-            | "circuit_open" ->
-                ( "CIRCUIT OPEN",
-                  Printf.sprintf ": %s%s"
-                    (Option.value ~default:"breaker tripped for this key"
-                       s.Serve.Protocol.error)
-                    (match s.Serve.Protocol.retry_after with
-                    | Some r -> Printf.sprintf "; retry in %.1f s" r
-                    | None -> "") )
-            | st ->
-                ( String.uppercase_ascii st,
-                  match s.Serve.Protocol.error with
-                  | Some e -> ": " ^ e
-                  | None -> "" )
-          in
-          Printf.printf "# job %d [%s] %s: %s%s\n" i
-            (String.sub (Registry.Key.hash key) 0 12)
-            (Registry.Key.describe key) tag note;
-          match s.Serve.Protocol.kernel with
-          | Some k -> print_endline k
-          | None -> ())
-        (List.combine keys served);
+      print_jobs keys served;
       (match stats_json with
       | Some path ->
           write_json path
             (Jsonv.to_string
                (Serve.Protocol.response_to_json (Serve.Protocol.Jobs served)))
       | None -> ());
-      let failed =
-        List.filter_map
-          (fun (s : Serve.Protocol.served) ->
-            match s.Serve.Protocol.status with
-            | "cached" | "synthesized" -> None
-            | st -> Some st)
-          served
-      in
-      if failed <> [] then begin
-        Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
-          (List.length failed) (List.length keys);
-        exit (failure_exit failed)
-      end;
-      `Ok ()
+      batch_exit served
 
 let run_batch jobs_file server workers timeout retries backoff budget no_cache
     cache_dir x86 stats_json fault_plan optimize =
   setup_faults fault_plan;
-  let src =
-    match open_in_bin jobs_file with
-    | ic ->
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        Ok s
-    | exception Sys_error msg -> Error msg
-  in
-  match Result.bind src Registry.Scheduler.parse_jobs with
+  match Result.bind (read_file_res jobs_file) Registry.Scheduler.parse_jobs with
   | Error msg -> `Error (false, Printf.sprintf "cannot read jobs: %s" msg)
   | Ok keys when server <> None ->
       run_batch_remote (Option.get server) keys timeout retries backoff budget
@@ -674,47 +625,11 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
         Registry.Scheduler.run_batch ?root ~workers ?timeout ~retries ~backoff
           ?budget ~optimize keys
       in
-      List.iteri
-        (fun i r ->
-          let open Registry.Scheduler in
-          let tag, note =
-            match r.status with
-            | Cached -> ("cached", "")
-            | Synthesized when r.degraded ->
-                ( Printf.sprintf "synthesized DEGRADED (rung %d)" r.rung,
-                  Printf.sprintf " in %.3f s — correct but not guaranteed \
-                                  shortest; not cached"
-                    r.elapsed )
-            | Synthesized ->
-                ( "synthesized",
-                  Printf.sprintf " in %.3f s%s" r.elapsed
-                    (if r.opt_passes = [] then ""
-                     else
-                       Printf.sprintf " (optimized: %s)"
-                         (String.concat ", " r.opt_passes)) )
-            | Timed_out ->
-                ("TIMED OUT", Printf.sprintf " after %d attempts" r.attempts)
-            | Exhausted { live; budget } ->
-                ( "EXHAUSTED",
-                  Printf.sprintf ": %d live states%s after %d attempts" live
-                    (match budget with
-                    | Some b -> Printf.sprintf " over budget %d" b
-                    | None -> " (no budget configured)")
-                    r.attempts )
-            | Crashed -> ("CRASHED", ": worker domain died; job isolated")
-            | Failed msg -> ("FAILED", ": " ^ msg)
-          in
-          Printf.printf "# job %d [%s] %s: %s%s\n" i
-            (String.sub (Registry.Key.hash r.key) 0 12)
-            (Registry.Key.describe r.key) tag note;
-          match r.program with
-          | Some p ->
-              let cfg = Registry.Key.config r.key in
-              print_endline
-                (if x86 then Isa.Program.to_x86 cfg p
-                 else Isa.Program.to_string cfg p)
-          | None -> ())
-        b.Registry.Scheduler.results;
+      let render = if x86 then Isa.Program.to_x86 else Isa.Program.to_string in
+      let served =
+        List.map (Serve.Protocol.of_job ~render) b.Registry.Scheduler.results
+      in
+      print_jobs keys served;
       let c = b.Registry.Scheduler.counters in
       Printf.printf
         "# registry: %d hits, %d misses, %d quarantined, %d inserted, %d \
@@ -725,20 +640,7 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
       (match stats_json with
       | Some path -> write_json path (Registry.Scheduler.batch_json b)
       | None -> ());
-      let failed =
-        List.filter_map
-          (fun r ->
-            match r.Registry.Scheduler.status with
-            | Registry.Scheduler.(Cached | Synthesized) -> None
-            | st -> Some (Registry.Scheduler.status_string st))
-          b.Registry.Scheduler.results
-      in
-      if failed <> [] then begin
-        Printf.eprintf "synth batch: %d of %d jobs did not produce a kernel\n"
-          (List.length failed) (List.length keys);
-        exit (failure_exit failed)
-      end;
-      `Ok ()
+      batch_exit served
 
 let batch_cmd =
   let jobs_file =
@@ -815,14 +717,6 @@ let batch_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* lint / analyze: the static analyzer over kernel files.              *)
-
-let read_file_res path =
-  match open_in_bin path with
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Ok s
-  | exception Sys_error msg -> Error msg
 
 (* Kernel files carry no register-file header; unless -n/-m are given,
    infer the smallest configuration covering the registers the kernel

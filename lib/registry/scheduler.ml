@@ -19,7 +19,7 @@ type job_result = {
   degraded : bool;
   rung : int;
   attempt_log : attempt list;
-  opt_passes : string list;
+  opt : Opt.Pipeline.report option;
 }
 
 type batch = { results : job_result list; counters : Store.counters }
@@ -142,9 +142,12 @@ let backoff_delay ~base ~key ~attempt =
    [1 + retries] attempts, each against its own deadline, with backoff
    between attempts. Exceptions must not escape (they would kill the
    domain), so everything funnels into a [status]; each failed attempt
-   is recorded in the [attempt_log]. *)
-let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
+   is recorded in the [attempt_log]. A search that completed without a
+   certified kernel is kept, so its statistics still reach the caller. *)
+let run_one ?(optimize = false) ?domains ?mode ~timeout ~retries ~backoff
+    ~budget key =
   let start = Fault.Clock.now () in
+  let cfg = Key.config key in
   let log = ref [] in
   let rec attempt k =
     let deadline = Option.map (fun t -> Fault.Clock.now () +. t) timeout in
@@ -152,47 +155,45 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
       match
         if Fault.fire Fault.Scheduler_job_exception then
           raise (Fault.Injected Fault.Scheduler_job_exception);
-        run_key ?deadline ?budget key
+        run_key ?deadline ?domains ?mode ?budget key
       with
       | o -> (
           match o.result.Search.programs with
           | p :: _ -> (
-              match Verify.certify_fast (Key.config key) p with
+              match Verify.certify_fast cfg p with
               | Ok () ->
-                  if optimize then begin
-                    (* Post-synthesis polish: every rewrite the pipeline
-                       applies is certified bit-identical, and a refused
-                       pass leaves the kernel alone — so this can only
-                       reorder/shrink, never invalidate, the certified
-                       program above. *)
-                    let rep = Opt.Pipeline.run (Key.config key) p in
-                    let passes =
-                      List.map
-                        (fun (d : Opt.Pipeline.delta) -> d.Opt.Pipeline.pass)
-                        rep.Opt.Pipeline.deltas
-                    in
-                    `Done (Synthesized, Some rep.Opt.Pipeline.optimized, Some o, passes)
-                  end
-                  else `Done (Synthesized, Some p, Some o, [])
-              | Error msg -> `Retry (Failed ("certification failed: " ^ msg)))
-          | [] -> `Retry (Failed "no kernel found within the bound"))
-      | exception Search.Timeout -> `Retry Timed_out
+                  (* Post-synthesis polish: every rewrite the pipeline
+                     applies is certified bit-identical, and a refused
+                     pass leaves the kernel alone — so this can only
+                     reorder/shrink, never invalidate, the certified
+                     program above. *)
+                  let opt =
+                    if optimize then Some (Opt.Pipeline.run cfg p) else None
+                  in
+                  let p =
+                    match opt with Some rep -> rep.Opt.Pipeline.optimized | None -> p
+                  in
+                  `Done (p, o, opt)
+              | Error msg ->
+                  `Retry (Failed ("certification failed: " ^ msg), Some o))
+          | [] -> `Retry (Failed "no kernel found within the bound", Some o))
+      | exception Search.Timeout -> `Retry (Timed_out, None)
       | exception Search.Resource_exhausted { live; budget } ->
-          `Retry (Exhausted { live; budget })
-      | exception e -> `Retry (Failed (Printexc.to_string e))
+          `Retry (Exhausted { live; budget }, None)
+      | exception e -> `Retry (Failed (Printexc.to_string e), None)
     in
     match outcome with
-    | `Done (status, p, o, passes) -> (status, p, o, passes, k)
-    | `Retry status when k > retries ->
+    | `Done (p, o, opt) -> (Synthesized, Some p, Some o, opt, k)
+    | `Retry (status, o) when k > retries ->
         log := { n = k; failure = failure_string status; backoff = 0. } :: !log;
-        (status, None, None, [], k)
-    | `Retry status ->
+        (status, None, o, None, k)
+    | `Retry (status, _) ->
         let d = backoff_delay ~base:backoff ~key ~attempt:k in
         log := { n = k; failure = failure_string status; backoff = d } :: !log;
         Fault.Clock.sleep_for d;
         attempt (k + 1)
   in
-  let status, program, outcome, opt_passes, attempts = attempt 1 in
+  let status, program, outcome, opt, attempts = attempt 1 in
   {
     key;
     status;
@@ -204,8 +205,39 @@ let run_one ?(optimize = false) ~timeout ~retries ~backoff ~budget key =
     degraded = (match outcome with Some o -> o.degraded | None -> false);
     rung = (match outcome with Some o -> o.rung | None -> 0);
     attempt_log = List.rev !log;
-    opt_passes;
+    opt;
   }
+
+let opt_passes r =
+  match r.opt with
+  | None -> []
+  | Some rep ->
+      List.map (fun (d : Opt.Pipeline.delta) -> d.Opt.Pipeline.pass) rep.Opt.Pipeline.deltas
+
+(* The store-through step every caller shares. When the optimizer
+   rewrote the kernel, store the rewrite and record where it came from;
+   the search's raw program is recoverable via the digest. [insert]
+   itself refuses degraded results, so nothing the ladder produced past
+   rung 0 can reach the optimal store. *)
+let persist ?counters ~root r =
+  match (r.status, r.program, r.search) with
+  | Synthesized, Some p, Some search ->
+      let provenance, search =
+        match search.Search.programs with
+        | orig :: rest when not (Isa.Program.equal p orig) ->
+            ( Some
+                {
+                  Store.optimized_from =
+                    Digest.to_hex
+                      (Digest.string
+                         (Isa.Program.to_string (Key.config r.key) orig));
+                  passes = opt_passes r;
+                },
+              { search with Search.programs = p :: rest } )
+        | _ -> (None, search)
+      in
+      Store.insert ?counters ~degraded:r.degraded ?provenance ~root r.key search
+  | _ -> Error "no synthesized kernel to store"
 
 (* ------------------------------------------------------------------ *)
 (* The batch.                                                          *)
@@ -222,7 +254,7 @@ let crashed_placeholder key =
     degraded = false;
     rung = 0;
     attempt_log = [ { n = 1; failure = "worker domain crashed"; backoff = 0. } ];
-    opt_passes = [];
+    opt = None;
   }
 
 let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
@@ -255,7 +287,7 @@ let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
               degraded = false;
               rung = 0;
               attempt_log = [];
-              opt_passes = [];
+              opt = None;
             }
       in
       match root with
@@ -293,47 +325,16 @@ let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
   let handles = List.init (nworkers - 1) (fun _ -> Domain.spawn worker) in
   worker ();
   List.iter (fun h -> try Domain.join h with _ -> ()) handles;
-  (* Merge pass (main domain, input order): deterministic store updates.
-     [insert] itself refuses degraded results, so nothing the ladder
-     produced past rung 0 can reach the optimal store. *)
+  (* Merge pass (main domain, input order): deterministic store updates. *)
   let results =
-    Array.to_list
-      (Array.mapi
-         (fun i r ->
-           match r with
-           | None -> crashed_placeholder keys.(i)
-           | Some r ->
-               (match (root, r.status, r.search) with
-               | Some root, Synthesized, Some search ->
-                   (* When the optimizer rewrote the kernel, store the
-                      rewrite and record where it came from; the search's
-                      raw program is recoverable via the digest. *)
-                   let provenance, search =
-                     match (r.program, search.Search.programs) with
-                     | Some p, orig :: rest
-                       when r.opt_passes <> []
-                            && not (Isa.Program.equal p orig) ->
-                         let cfg = Key.config keys.(i) in
-                         ( Some
-                             {
-                               Store.optimized_from =
-                                 Digest.to_hex
-                                   (Digest.string
-                                      (Isa.Program.to_string cfg orig));
-                               passes = r.opt_passes;
-                             },
-                           { search with Search.programs = p :: rest } )
-                     | _ -> (None, search)
-                   in
-                   (match
-                      Store.insert ~counters ~degraded:r.degraded ?provenance
-                        ~root keys.(i) search
-                    with
-                   | Ok _ -> ()
-                   | Error _ -> ())
-               | _ -> ());
-               r)
-         results)
+    List.mapi
+      (fun i r ->
+        match r with
+        | None -> crashed_placeholder keys.(i)
+        | Some r ->
+            Option.iter (fun root -> ignore (persist ~counters ~root r)) root;
+            r)
+      (Array.to_list results)
   in
   { results; counters }
 
@@ -383,7 +384,7 @@ let batch_json batch =
          ("rung", Jsonv.Int r.rung);
          ("attempt_log", Jsonv.Arr (List.map attempt r.attempt_log));
        ]
-      @ (match r.opt_passes with
+      @ (match opt_passes r with
         | [] -> []
         | passes ->
             [
@@ -396,18 +397,9 @@ let batch_json batch =
           [ ("error", Jsonv.Str (failure_string s)) ]
       | Cached | Synthesized | Timed_out -> [])
   in
-  let c = batch.counters in
   Jsonv.to_string
     (Jsonv.Obj
        [
          ("jobs", Jsonv.Arr (List.map job batch.results));
-         ( "registry",
-           Jsonv.Obj
-             [
-               ("hits", Jsonv.Int c.Store.hits);
-               ("misses", Jsonv.Int c.Store.misses);
-               ("quarantined", Jsonv.Int c.Store.quarantined);
-               ("inserted", Jsonv.Int c.Store.inserted);
-               ("recovered", Jsonv.Int c.Store.recovered);
-             ] );
+         ("registry", Store.counters_json batch.counters);
        ])

@@ -49,7 +49,9 @@ type job_result = {
   length : int option;
   attempts : int;  (** Search attempts; [0] for cache hits. *)
   elapsed : float;  (** Seconds spent on this job (all attempts). *)
-  search : Search.result option;  (** Present iff a search completed. *)
+  search : Search.result option;
+      (** Present iff a search completed: on success, and on a final
+          attempt whose search finished without a certified kernel. *)
   degraded : bool;
       (** The kernel came from a non-optimality-preserving ladder rung;
           it is correct (still certified on all [n!] permutations) but
@@ -58,12 +60,10 @@ type job_result = {
   attempt_log : attempt list;
       (** Failed attempts, oldest first; empty when the first attempt
           succeeded or the job was served from cache. *)
-  opt_passes : string list;
-      (** Certified optimizer passes applied after synthesis (in
-          application order, {!Opt.Pipeline} delta names), when the batch
-          ran with [~optimize:true]; empty otherwise. When non-empty and
-          the kernel actually changed, the stored entry carries a
-          {!Store.provenance} record. *)
+  opt : Opt.Pipeline.report option;
+      (** The certified optimizer pipeline's report on the synthesized
+          kernel, when the job ran with [~optimize:true]; [program] is
+          then its [optimized] output. [None] otherwise. *)
 }
 
 type batch = {
@@ -98,7 +98,7 @@ val run_key :
 (** Dispatch one request to the engine its key names: A*, sequential
     level-sync, or {!Search.run_parallel} over [domains] workers (default
     2, [Parallel] keys only). The single place that turns a key into a
-    running search — the CLI's default command uses it too.
+    running search; callers reach it through {!run_one}.
 
     [budget] caps live search states ({!Search.options.state_budget}).
     When the search raises {!Search.Resource_exhausted}, [run_key] walks
@@ -112,20 +112,41 @@ val run_key :
 
 val run_one :
   ?optimize:bool ->
+  ?domains:int ->
+  ?mode:Search.mode ->
   timeout:float option ->
   retries:int ->
   backoff:float ->
   budget:int option ->
   Key.t ->
   job_result
-(** One job run to completion in the calling domain: up to [1 + retries]
-    attempts through {!run_key}'s degradation ladder, each against its
-    own deadline of [timeout] seconds, exponential backoff between
-    attempts, post-search certification (and optional optimizer polish)
-    — exactly what a batch worker does per job. Never raises; every
-    failure funnels into the [status] and the [attempt_log]. The
-    resident serving pool ([lib/serve]) reuses this so daemon requests
-    get the same ladder, backoff, and deadline plumbing as batches. *)
+(** The one job path: a request run to completion in the calling domain.
+    Up to [1 + retries] attempts through {!run_key}'s degradation ladder
+    ([domains] and [mode] are handed to it), each against its own
+    deadline of [timeout] seconds, exponential backoff between attempts,
+    post-search certification, and the optional optimizer polish —
+    exactly what a batch worker does per job. Never raises; every
+    failure funnels into the [status] and the [attempt_log]. The CLI's
+    default command calls it with [~retries:0], batch workers per job,
+    and the resident serving pool ([lib/serve]) per daemon miss, so all
+    three get the same ladder, backoff, and deadline plumbing. *)
+
+val opt_passes : job_result -> string list
+(** Names of the optimizer passes applied to the job's kernel, in
+    application order ({!Opt.Pipeline.delta} names); empty without
+    [opt]. *)
+
+val persist :
+  ?counters:Store.counters ->
+  root:string ->
+  job_result ->
+  (Store.entry, string) result
+(** Store a [Synthesized] job through {!Store.insert}. When the optimizer
+    rewrote the kernel, the rewrite is stored with a {!Store.provenance}
+    record: the MD5 of the search's original kernel text and
+    {!opt_passes}. [Error] for any other status, and whenever [insert]
+    refuses (a degraded result, a failed certification, an injected
+    write fault). *)
 
 val parse_jobs : string -> (Key.t list, string) result
 (** Parse a jobs file: a JSON array of request objects (see
@@ -158,9 +179,8 @@ val run_batch :
 
     With [~optimize:true] every freshly synthesized (and certified)
     kernel is additionally run through the proof-carrying optimizer
-    pipeline ({!Opt.Pipeline.run}) inside the worker; the stored program
-    is the optimized one, with the applied pass list in [opt_passes] and
-    the original's digest recorded as {!Store.provenance}. Cache hits are
+    pipeline ({!Opt.Pipeline.run}) inside the worker. The merge pass
+    stores every job through {!persist}, in input order. Cache hits are
     served as stored. *)
 
 val status_string : status -> string
@@ -177,5 +197,5 @@ val poison_status : status -> bool
 val batch_json : batch -> string
 (** Machine-readable batch summary:
     [{"jobs":[...],"registry":{"hits":...}}]. Each job carries [degraded],
-    [rung], and its [attempt_log]; the registry object includes the
-    [recovered] counter. Rendered by {!Jsonv.to_string}. *)
+    [rung], and its [attempt_log]; the registry object is
+    {!Store.counters_json}. Rendered by {!Jsonv.to_string}. *)

@@ -64,6 +64,41 @@ type response =
          (or draining) and refuses the whole connection — typed, never a
          silent close. Carries the retry_after hint in seconds. *)
 
+(* ---------- job results ---------- *)
+
+module Scheduler = Registry.Scheduler
+
+let job_error (r : Scheduler.job_result) =
+  match r.Scheduler.status with
+  | Scheduler.Failed msg -> Some msg
+  | Scheduler.Exhausted { live; budget } ->
+      Some
+        (match budget with
+        | Some b -> Printf.sprintf "state budget exhausted (%d live, budget %d)" live b
+        | None -> Printf.sprintf "state budget exhausted (%d live)" live)
+  | Scheduler.Timed_out -> Some "every attempt hit the deadline"
+  | Scheduler.Crashed -> Some "worker died mid-request"
+  | Scheduler.Cached | Scheduler.Synthesized -> None
+
+let of_job ?(render = Isa.Program.to_string) (r : Scheduler.job_result) =
+  {
+    status = Scheduler.status_string r.Scheduler.status;
+    source =
+      (match r.Scheduler.status with
+      | Scheduler.Synthesized -> Some "search"
+      | _ -> None);
+    canonical = Key.canonical r.Scheduler.key;
+    kernel = Option.map (render (Key.config r.Scheduler.key)) r.Scheduler.program;
+    length = r.Scheduler.length;
+    degraded = r.Scheduler.degraded;
+    rung = r.Scheduler.rung;
+    attempts = r.Scheduler.attempts;
+    elapsed = r.Scheduler.elapsed;
+    coalesced = false;
+    error = job_error r;
+    retry_after = None;
+  }
+
 (* ---------- requests ---------- *)
 
 let params_fields p =

@@ -76,6 +76,15 @@ type served = {
     ["overloaded"] (queue full or draining) and ["circuit_open"] (the
     key's breaker is tripped); both carry [retry_after]. *)
 
+val of_job :
+  ?render:(Isa.Config.t -> Isa.Program.t -> string) ->
+  Registry.Scheduler.job_result ->
+  served
+(** The served record of a scheduler job: its status tag, the daemon's
+    error wording for failures, and the kernel text as [render] prints it
+    (default {!Isa.Program.to_string}, the wire form). The daemon answers
+    misses with it, and local [batch] prints through it. *)
+
 type response =
   | Served of served
   | Jobs of served list  (** Input order. *)

@@ -214,37 +214,6 @@ let deadline_expired ~elapsed ~where key =
     Protocol.status = "timed_out";
   }
 
-let job_error (r : Scheduler.job_result) =
-  match r.Scheduler.status with
-  | Scheduler.Failed msg -> Some msg
-  | Scheduler.Exhausted { live; budget } ->
-      Some
-        (match budget with
-        | Some b -> Printf.sprintf "state budget exhausted (%d live, budget %d)" live b
-        | None -> Printf.sprintf "state budget exhausted (%d live)" live)
-  | Scheduler.Timed_out -> Some "every attempt hit the deadline"
-  | Scheduler.Crashed -> Some "worker died mid-request"
-  | Scheduler.Cached | Scheduler.Synthesized -> None
-
-let served_of_job (r : Scheduler.job_result) =
-  {
-    Protocol.status = Scheduler.status_string r.Scheduler.status;
-    source =
-      (match r.Scheduler.status with
-      | Scheduler.Synthesized -> Some "search"
-      | _ -> None);
-    canonical = Key.canonical r.Scheduler.key;
-    kernel = Option.map (kernel_text r.Scheduler.key) r.Scheduler.program;
-    length = r.Scheduler.length;
-    degraded = r.Scheduler.degraded;
-    rung = r.Scheduler.rung;
-    attempts = r.Scheduler.attempts;
-    elapsed = r.Scheduler.elapsed;
-    coalesced = false;
-    error = job_error r;
-    retry_after = None;
-  }
-
 (* ---------- request handling ---------- *)
 
 let lookup_one t key =
@@ -361,36 +330,11 @@ let synth_leader t key (p : Protocol.synth_params) =
             if Scheduler.poison_status r.Scheduler.status then
               Breaker.failure t.breaker canonical
             else Breaker.success t.breaker canonical;
-            (match (r.Scheduler.status, r.Scheduler.search) with
-            | Scheduler.Synthesized, Some search ->
-                (* Same provenance rule as run_batch's merge pass: when the
-                   optimizer rewrote the kernel, store the rewrite and
-                   record the original's digest. *)
-                let provenance, search =
-                  match (r.Scheduler.program, search.Search.programs) with
-                  | Some prog, orig :: rest
-                    when r.Scheduler.opt_passes <> []
-                         && not (Isa.Program.equal prog orig) ->
-                      ( Some
-                          {
-                            Store.optimized_from =
-                              Digest.to_hex
-                                (Digest.string (kernel_text key orig));
-                            passes = r.Scheduler.opt_passes;
-                          },
-                        { search with Search.programs = prog :: rest } )
-                  | _ -> (None, search)
-                in
-                locked t.store_mutex (fun () ->
-                    match
-                      Store.insert ~counters:t.store_counters
-                        ~degraded:r.Scheduler.degraded ?provenance ~root:t.cfg.root
-                        key search
-                    with
-                    | Ok entry -> Lru.add t.lru canonical entry
-                    | Error _ -> ())
-            | _ -> ());
-            served_of_job r)
+            locked t.store_mutex (fun () ->
+                match Scheduler.persist ~counters:t.store_counters ~root:t.cfg.root r with
+                | Ok entry -> Lru.add t.lru canonical entry
+                | Error _ -> ());
+            Protocol.of_job r)
 
 let synth_one t key p =
   let canonical = Key.canonical key in
@@ -507,16 +451,7 @@ let batch_fanout t keys p =
 let snapshot t =
   let ls = Lru.stats t.lru in
   let registry =
-    locked t.store_mutex (fun () ->
-        let c = t.store_counters in
-        Jsonv.Obj
-          [
-            ("hits", Jsonv.Int c.Store.hits);
-            ("misses", Jsonv.Int c.Store.misses);
-            ("quarantined", Jsonv.Int c.Store.quarantined);
-            ("inserted", Jsonv.Int c.Store.inserted);
-            ("recovered", Jsonv.Int c.Store.recovered);
-          ])
+    locked t.store_mutex (fun () -> Store.counters_json t.store_counters)
   in
   let bc = Breaker.counters t.breaker in
   let breaker =

@@ -14,7 +14,8 @@
       runs once at open and again after any quarantine event.
     - {b Search}: a persistent {!Pool} of domains running
       {!Registry.Scheduler.run_one}, so a daemon miss gets the same
-      degradation ladder, backoff, and deadline plumbing as a batch job.
+      degradation ladder, backoff, and deadline plumbing as a batch job,
+      and is stored through the same {!Registry.Scheduler.persist}.
 
     Identical concurrent misses are {e coalesced}: one search runs, the
     other requests park on the leader's flight and share its result

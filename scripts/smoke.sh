@@ -168,7 +168,13 @@ fi
 # The recovered store is fully servable and certifies end to end.
 dune exec bin/synth.exe -- registry verify --cache-dir "$reg" > /dev/null \
   || { echo "registry verify failed after recovery" >&2; exit 1; }
-# Typed exit codes: 2 = deadline, 3 = budget exhausted at the final rung.
+# Typed exit codes: 1 = no kernel within the length bound, 2 = deadline,
+# 3 = budget exhausted at the final rung.
+set +e
+dune exec bin/synth.exe -- -n 3 --max-len 5 > /dev/null 2>&1
+code=$?
+set -e
+[ "$code" -eq 1 ] || { echo "no-kernel run exited $code, want 1" >&2; exit 1; }
 set +e
 dune exec bin/synth.exe -- -n 4 --engine level --timeout 0.05 > /dev/null 2>&1
 code=$?

@@ -351,6 +351,87 @@ let test_batch_timeout_and_failure () =
   check Alcotest.int "nothing stored" 0
     b.Registry.Scheduler.counters.Registry.Store.inserted
 
+(* A search that completes without a kernel is still a completed search:
+   its statistics must reach the caller (batch JSON "expanded", the
+   CLI's --stats-json). n=3 has no kernel of length <= 5. *)
+let test_run_one_keeps_failed_search () =
+  let r =
+    Registry.Scheduler.run_one ~timeout:None ~retries:0 ~backoff:0. ~budget:None
+      (Registry.Key.make ~max_len:5 3)
+  in
+  (match r.Registry.Scheduler.status with
+  | Registry.Scheduler.Failed _ -> ()
+  | s ->
+      Alcotest.failf "expected failed, got %s"
+        (Registry.Scheduler.status_string s));
+  match r.Registry.Scheduler.search with
+  | Some s ->
+      check Alcotest.bool "search expanded nodes" true
+        (s.Search.stats.Search.expanded > 0)
+  | None -> Alcotest.fail "the completed search was dropped"
+
+(* The provenance rule: an optimized kernel is stored as the rewrite,
+   with the MD5 of the original kernel text and the applied passes. *)
+let test_persist_provenance () =
+  let cfg = Registry.Key.config key3 in
+  (* Under [dune runtest] the cwd is the test directory; under
+     [dune exec] it is the repository root. *)
+  let src =
+    In_channel.with_open_bin
+      (List.find Sys.file_exists
+         [ "examples/kernels/sort3_unopt.txt"; "../examples/kernels/sort3_unopt.txt" ])
+      In_channel.input_all
+  in
+  let orig =
+    match Isa.Program.of_string cfg src with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let rep = Opt.Pipeline.run cfg orig in
+  let rewrite = rep.Opt.Pipeline.optimized in
+  check Alcotest.int "naive kernel" 13 (Isa.Program.length orig);
+  check Alcotest.int "optimized kernel" 12 (Isa.Program.length rewrite);
+  let search =
+    {
+      (Registry.Scheduler.run_key key3).Registry.Scheduler.result with
+      Search.programs = [ orig ];
+    }
+  in
+  let job =
+    {
+      Registry.Scheduler.key = key3;
+      status = Registry.Scheduler.Synthesized;
+      program = Some rewrite;
+      length = Some (Isa.Program.length rewrite);
+      attempts = 1;
+      elapsed = 0.;
+      search = Some search;
+      degraded = false;
+      rung = 0;
+      attempt_log = [];
+      opt = Some rep;
+    }
+  in
+  let root = fresh_root () in
+  (match Registry.Scheduler.persist ~root job with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  match Registry.Store.lookup ~root key3 with
+  | Registry.Store.Hit e -> (
+      check (program_testable cfg) "stored the rewrite" rewrite
+        e.Registry.Store.program;
+      match e.Registry.Store.provenance with
+      | Some pv ->
+          check Alcotest.string "optimized_from is the original's MD5"
+            (Digest.to_hex (Digest.string (String.trim src)))
+            pv.Registry.Store.optimized_from;
+          check
+            (Alcotest.list Alcotest.string)
+            "passes" [ "redundant-cmp" ] pv.Registry.Store.passes
+      | None -> Alcotest.fail "no provenance recorded")
+  | Registry.Store.Miss | Registry.Store.Quarantined _ ->
+      Alcotest.fail "the persisted entry did not load"
+
 let test_parse_jobs () =
   (match
      Registry.Scheduler.parse_jobs
@@ -396,5 +477,9 @@ let () =
           Alcotest.test_case "timeout + failure" `Quick
             test_batch_timeout_and_failure;
           Alcotest.test_case "parse jobs" `Quick test_parse_jobs;
+          Alcotest.test_case "run_one keeps a failed search" `Quick
+            test_run_one_keeps_failed_search;
+          Alcotest.test_case "persist records provenance" `Quick
+            test_persist_provenance;
         ] );
     ]

@@ -923,16 +923,20 @@ let with_running_server config f =
   let ready_m = Mutex.create () in
   let ready_c = Condition.create () in
   let ready = ref false in
+  let finished = Atomic.make false in
   let th =
     Thread.create
       (fun () ->
-        Serve.Server.run
-          ~on_ready:(fun () ->
-            Mutex.lock ready_m;
-            ready := true;
-            Condition.signal ready_c;
-            Mutex.unlock ready_m)
-          srv)
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            Serve.Server.run
+              ~on_ready:(fun () ->
+                Mutex.lock ready_m;
+                ready := true;
+                Condition.signal ready_c;
+                Mutex.unlock ready_m)
+              srv))
       ()
   in
   Mutex.lock ready_m;
@@ -940,18 +944,32 @@ let with_running_server config f =
     Condition.wait ready_c ready_m
   done;
   Mutex.unlock ready_m;
-  Fun.protect
-    ~finally:(fun () ->
-      (* Belt and braces: make sure the daemon dies even on test failure. *)
-      (if not (Serve.Server.stopped srv) then
-         ignore
-           (Serve.Client.roundtrip ~socket:config.Serve.Server.socket_path
-              Serve.Protocol.Shutdown));
-      (* A server that sheds every connection never admits that Shutdown:
-         stop it directly, or the join below waits forever. *)
-      if not (Serve.Server.stopped srv) then Serve.Server.drain srv;
-      Thread.join th)
-    (fun () -> f srv)
+  let outcome =
+    try Ok (f srv) with e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  (* Belt and braces: make sure the daemon dies even on test failure. *)
+  (if not (Serve.Server.stopped srv) then
+     ignore
+       (Serve.Client.roundtrip ~socket:config.Serve.Server.socket_path
+          Serve.Protocol.Shutdown));
+  (* A server that sheds every connection never admits that Shutdown:
+     stop it directly. *)
+  if not (Serve.Server.stopped srv) then Serve.Server.drain srv;
+  (* A daemon that ignores both must fail the test, not wedge the suite:
+     wait for the server thread against a deadline on the monotonic clock. *)
+  let deadline = Fault.Clock.now () +. 30. in
+  while (not (Atomic.get finished)) && Fault.Clock.now () < deadline do
+    Thread.delay 0.01
+  done;
+  if not (Atomic.get finished) then
+    Alcotest.failf "server thread still running 30 s after shutdown%s"
+      (match outcome with
+      | Error (e, _) -> " (the test itself raised " ^ Printexc.to_string e ^ ")"
+      | Ok _ -> "");
+  Thread.join th;
+  match outcome with
+  | Ok v -> v
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 let test_torn_connection_chaos () =
   let root = fresh_root () in
