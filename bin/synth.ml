@@ -239,10 +239,10 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
           ( "symcert",
             Jsonv.Obj
               [
-                ("symbolic_proofs", Jsonv.Int (Registry.Verify.symbolic_proofs ()));
-                ("exact_fallbacks", Jsonv.Int (Registry.Verify.exact_fallbacks ()));
+                ("symbolic_proofs", Jsonv.Int (Analysis.Certify.symbolic_proofs ()));
+                ("exact_fallbacks", Jsonv.Int (Analysis.Certify.exact_fallbacks ()));
                 ( "exact_certifications",
-                  Jsonv.Int (Registry.Verify.certifications ()) );
+                  Jsonv.Int (Analysis.Certify.certifications ()) );
               ] );
         ]
     in
@@ -861,7 +861,7 @@ let run_analyze file n m json =
   | Ok (cfg, prog, lines) ->
       let findings = Analysis.Lint.check_all cfg prog in
       let sizes = Analysis.Absint.set_sizes cfg prog in
-      let cert = Analysis.Absint.certify cfg prog in
+      let cert = (Analysis.Certify.sorts cfg prog).Analysis.Certify.result in
       let d = Analysis.Dce.run cfg prog in
       let removed = d.Analysis.Dce.removed in
       if json then begin
@@ -1128,10 +1128,10 @@ let devlint_cmd =
         $ devlint_waivers_arg))
 
 (* ------------------------------------------------------------------ *)
-(* certify: the symbolic sortedness certifier, exact fallback on
-   Unknown — the CLI face of [Registry.Verify.certify_fast].           *)
+(* certify: the CLI face of [Analysis.Certify.sorts] — the symbolic
+   sortedness certifier, exact fallback on Unknown.                    *)
 
-let run_certify files n m json max_worlds =
+let run_certify files n m json =
   if files = [] then `Error (true, "no kernel files given")
   else begin
     let failures = ref 0 in
@@ -1146,35 +1146,30 @@ let run_certify files n m json max_worlds =
               incr failures;
               (file, Error msg)
           | Ok (cfg, prog, _lines) ->
-              let verdict =
-                Analysis.Symcert.certify ?max_worlds cfg prog
+              let { Analysis.Certify.symbolic; result } =
+                Analysis.Certify.sorts cfg prog
               in
-              (* Soundness contract: Unknown MUST fall back to the exact
-                 n! check; Proved/Refuted are final (Refuted is already
-                 execution-confirmed). *)
-              let certified, method_, detail =
-                match verdict with
-                | Analysis.Symcert.Proved ->
-                    (true, "symbolic", Analysis.Symcert.explain verdict)
-                | Analysis.Symcert.Refuted _ ->
-                    (false, "symbolic", Analysis.Symcert.explain verdict)
-                | Analysis.Symcert.Unknown reason -> (
-                    match Registry.Verify.certify cfg prog with
-                    | Ok () ->
-                        ( true,
-                          "exact",
-                          Printf.sprintf
-                            "unknown symbolically (%s); proved by the \
-                             exhaustive n! check"
-                            reason )
-                    | Error msg -> (false, "exact", msg))
+              let method_ =
+                match symbolic with
+                | Analysis.Symcert.Unknown _ -> "exact"
+                | _ -> "symbolic"
               in
-              if not certified then incr failures;
+              let detail =
+                match (result, symbolic) with
+                | Error line, _ -> line
+                | Ok (), Analysis.Symcert.Unknown reason ->
+                    Printf.sprintf
+                      "unknown symbolically (%s); proved by the exhaustive \
+                       n! check"
+                      reason
+                | Ok (), _ -> Analysis.Symcert.explain symbolic
+              in
+              if Result.is_error result then incr failures;
               ( file,
                 Ok
                   ( cfg,
-                    Analysis.Symcert.verdict_name verdict,
-                    certified,
+                    Analysis.Symcert.verdict_name symbolic,
+                    Result.is_ok result,
                     method_,
                     detail ) ))
         files
@@ -1213,16 +1208,6 @@ let run_certify files n m json max_worlds =
   end
 
 let certify_cmd =
-  let max_worlds =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-worlds" ] ~docv:"K"
-          ~doc:
-            "World budget for the symbolic certifier (default 20000). \
-             Exceeding it yields an $(i,unknown) verdict and the exact \
-             fallback, never an unsound answer.")
-  in
   Cmd.v
     (Cmd.info "certify" ~exits
        ~doc:
@@ -1234,8 +1219,7 @@ let certify_cmd =
           fails to certify (or to parse).")
     Term.(
       ret
-        (const run_certify $ files_arg $ opt_n $ opt_m $ json_flag
-       $ max_worlds))
+        (const run_certify $ files_arg $ opt_n $ opt_m $ json_flag))
 
 (* ------------------------------------------------------------------ *)
 (* optimize / equiv: the proof-carrying optimizer and the translation- *)
@@ -1440,8 +1424,8 @@ let run_equiv file_a file_b n m json =
   | Error msg -> `Error (false, msg)
   | Ok (cfg, pa, pb) -> (
       let ints a = Jsonv.Arr (List.map (fun v -> Jsonv.Int v) (Array.to_list a)) in
-      match Opt.Equiv.compare cfg pa pb with
-      | Opt.Equiv.Equivalent ->
+      match Analysis.Certify.equivalent cfg pa pb with
+      | Ok () ->
           if json then
             print_endline
               (Jsonv.to_string
@@ -1459,7 +1443,7 @@ let run_equiv file_a file_b n m json =
                all %d! permutations\n"
               file_a file_b cfg.Isa.Config.n;
           `Ok ()
-      | Opt.Equiv.Differs { input; out_a; out_b } ->
+      | Error { Analysis.Certify.input; out_a; out_b } ->
           if json then
             print_endline
               (Jsonv.to_string
@@ -1500,7 +1484,7 @@ let optimize_cmd =
           cmp elimination, cmov coalescing, DCE, canonical renaming, list \
           scheduling) to fixpoint over a kernel file. Every rewrite is \
           accepted only with a certificate — bit-identical value registers \
-          on all n! permutations, re-checked by the abstract certifier — \
+          on all n! permutations, re-checked by the sortedness certifier — \
           and refused otherwise, leaving the kernel unchanged. Also reports \
           whether the result is syntactically a comparator network (then \
           0-1 certified and compared against the known-optimal size).")

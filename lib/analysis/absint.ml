@@ -24,22 +24,6 @@ let reachable cfg p =
 
 let set_sizes cfg p = Array.map Array.length (reachable cfg p)
 
-let certify cfg p =
-  let final = (reachable cfg p).(Array.length p) in
-  let unsorted =
-    Array.to_list final
-    |> List.filter (fun c -> not (Machine.Assign.is_sorted cfg c))
-  in
-  match unsorted with
-  | [] -> Ok ()
-  | c :: _ ->
-      Error
-        (Printf.sprintf
-           "abstract certification failed: %d of %d reachable final \
-            assignments are unsorted, e.g. %s"
-           (List.length unsorted) (Array.length final)
-           (Format.asprintf "%a" (Machine.Assign.pp cfg) c))
-
 let semantic_noops cfg p =
   let sets = reachable cfg p in
   let noop i =

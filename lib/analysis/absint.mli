@@ -7,14 +7,12 @@
     the set under {!Machine.Assign.apply} — the collecting semantics with no
     widening, so there is no abstraction loss whatsoever.
 
-    This yields an independent, machine-checkable correctness proof: the
-    kernel sorts every permutation iff every assignment in the final set is
-    sorted. Agreement with the brute-force certifier
-    ({!Machine.Exec.sorts_all_permutations}) is by construction — both
-    compute the image of the same [n!] initial states under the same
-    single-instruction semantics ({!Machine.Exec.step} and
-    {!Machine.Assign.apply} are tested equivalent) — and is re-asserted by
-    the test suite on random programs. *)
+    The kernel sorts every permutation iff every assignment in the final
+    set is sorted. Deciding that is {!Certify.sorts}'s job; this module
+    supplies the per-point set sizes [synth analyze] reports and the
+    {!semantic_noops} proofs {!Lint} and {!Dce} use, and the test suite
+    re-checks the final-set criterion against the brute-force certifier
+    on random programs. *)
 
 val reachable : Isa.Config.t -> Isa.Program.t -> Machine.Assign.code array array
 (** [reachable cfg p] has [length p + 1] rows; row [i] is the sorted,
@@ -25,11 +23,6 @@ val reachable : Isa.Config.t -> Isa.Program.t -> Machine.Assign.code array array
 val set_sizes : Isa.Config.t -> Isa.Program.t -> int array
 (** Per-point reachable-set cardinalities — [Array.map Array.length]
     of {!reachable}. *)
-
-val certify : Isa.Config.t -> Isa.Program.t -> (unit, string) result
-(** Semantic certification: [Ok ()] iff every reachable final assignment has
-    its value registers sorted — i.e. the kernel sorts all [n!] permutations.
-    The error message counts the unsorted outcomes and prints one. *)
 
 val semantic_noops : Isa.Config.t -> Isa.Program.t -> int list
 (** Indices of instructions that change {e no} reachable assignment: for

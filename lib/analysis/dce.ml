@@ -46,9 +46,6 @@ let delete p victims =
   Array.of_list (List.rev !keep)
 
 let run cfg p =
-  let n = cfg.Isa.Config.n in
-  let perms = Perms.all n in
-  let baseline = List.map (Machine.Exec.run cfg p) perms in
   (* orig.(i) = index in the original program of current instruction i. *)
   let orig = ref (Array.init (Array.length p) Fun.id) in
   let cur = ref p in
@@ -81,13 +78,10 @@ let run cfg p =
   in
   fix ();
   let optimized = !cur in
-  let preserved =
-    List.for_all2
-      (fun input out -> Machine.Exec.run cfg optimized input = out)
-      perms baseline
-  in
-  let in_certifies = Result.is_ok (Absint.certify cfg p) in
-  let out_certifies = Result.is_ok (Absint.certify cfg optimized) in
+  let preserved = Result.is_ok (Certify.equivalent cfg p optimized) in
+  let certifies q = Result.is_ok (Certify.sorts cfg q).Certify.result in
+  let in_certifies = certifies p in
+  let out_certifies = certifies optimized in
   if preserved && (out_certifies || not in_certifies) then
     {
       optimized;

@@ -8,11 +8,11 @@
     justified another instruction's no-op proof, so deleting members of
     both sets computed on the same program would be unsound.
 
-    The rewrite is {e proof-carrying}: the optimized program must produce
-    bit-identical value-register outputs on every one of the [n!] input
-    permutations (checked by direct execution), and when the input kernel
-    certifies as sorting, the output must re-certify under
-    {!Absint.certify}. If either proof fails the rewrite is refused and the
+    The rewrite is {e proof-carrying}: the optimized program must be
+    {!Certify.equivalent} to the input (bit-identical value-register
+    outputs on every one of the [n!] input permutations), and when the
+    input kernel certifies as sorting, the output must re-certify under
+    {!Certify.sorts}. If either proof fails the rewrite is refused and the
     original program returned untouched — the optimizer can decline to
     optimize, but can never miscompile. *)
 
@@ -27,7 +27,7 @@ type result = {
   removed : removal list;  (** Ascending by original index. *)
   passes : int;  (** Analysis passes run until the fixpoint. *)
   certified : bool;
-      (** Did the optimized program pass {!Absint.certify}? (Equals the
+      (** Did the optimized program pass {!Certify.sorts}? (Equals the
           input's certification status: DCE preserves behavior.) *)
   refused : bool;
       (** True iff a shrink was found but failed re-verification and was

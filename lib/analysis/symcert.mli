@@ -33,7 +33,7 @@
     - [Unknown] — the world budget ran out, or a constructed
       counterexample failed to confirm (a certifier bug, reported
       honestly). The caller {b must} fall back to the exact [n!] check —
-      {!certify_fast} does exactly that, making the pipeline sound by
+      {!Certify.sorts} does exactly that, making every caller sound by
       construction.
 
     The {!Machine.Zeroone} gap kernels — correct on all [2^n] binary
@@ -58,25 +58,3 @@ val explain : verdict -> string
 
 val verdict_name : verdict -> string
 (** ["proved"], ["refuted"], or ["unknown"] — stable strings for JSON. *)
-
-val certify_fast :
-  ?max_worlds:int ->
-  ?fallback:(Isa.Config.t -> Isa.Program.t -> (unit, string) result) ->
-  Isa.Config.t ->
-  Isa.Program.t ->
-  (unit, string) result
-(** The sound fast path every trust boundary routes through: [Proved]
-    is [Ok ()] ({!symbolic_proofs} ticks), [Refuted] is [Error] with the
-    confirmed counterexample (formatted like {!Machine.Exec} failures),
-    and [Unknown] defers to [fallback] — the exact certifier
-    ({!Absint.certify} by default; the registry passes its own
-    [n!]-execution check) — after ticking {!exact_fallbacks}. *)
-
-val symbolic_proofs : unit -> int
-(** Kernels this process proved symbolically (no [n!] enumeration),
-    ever. Monotone; compare readings. *)
-
-val exact_fallbacks : unit -> int
-(** [Unknown] verdicts that sent {!certify_fast} to the exact fallback.
-    Monotone. Stays at zero on decidable workloads — the smoke and CI
-    gates pin that. *)

@@ -91,5 +91,6 @@ let run ?(passes = Passes.all) cfg p =
     deltas = List.rev !deltas;
     refusals = List.rev !refusals;
     rounds = !round;
-    certified = Result.is_ok (Analysis.Absint.certify cfg !current);
+    certified =
+      Result.is_ok (Analysis.Certify.sorts cfg !current).Analysis.Certify.result;
   }

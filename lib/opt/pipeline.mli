@@ -7,7 +7,8 @@
     - a {e cost gate} — the proposal may not be longer than the current
       program nor raise its {!Perf.Cost.simulated_cycles}; and
     - a {e certificate} — {!Cert.discharge} must prove the proposal
-      bit-identical on the value registers for all [n!] permutations.
+      still sorts if the current program did, and bit-identical on the
+      value registers for all [n!] permutations.
 
     A proposal failing either gate is recorded as a refusal and the
     current program is kept, so the pipeline's output is always at least
@@ -38,7 +39,7 @@ type report = {
   rounds : int;  (** Rounds run, including the final no-change round. *)
   certified : bool;
       (** Does [optimized] certify as sorting under
-          {!Analysis.Absint.certify}? (Equals the input's status: the
+          {!Analysis.Certify.sorts}? (Equals the input's status: the
           pipeline preserves behavior.) *)
 }
 

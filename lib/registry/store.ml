@@ -359,9 +359,11 @@ let load ~root hash =
 
 let load_unverified ~root hash = load ~root hash
 
+let sorts cfg p = (Analysis.Certify.sorts cfg p).Analysis.Certify.result
+
 let certified ~root hash =
   let* e = load ~root hash in
-  let* () = Verify.certify_fast (Key.config e.key) e.program in
+  let* () = sorts (Key.config e.key) e.program in
   Ok e
 
 let lookup ?counters ~root key =
@@ -404,7 +406,7 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
     | [] -> Error "search result has no program to store"
     | program :: _ -> (
         let cfg = Key.config key in
-        let* () = Verify.certify_fast cfg program in
+        let* () = sorts cfg program in
         let entry =
           {
             key;

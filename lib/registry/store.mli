@@ -19,7 +19,7 @@
     staged in a temp directory, fsynced file-by-file (and the directory
     itself), then renamed into place — so a crash at any instant leaves
     either no entry or a complete one, never a half-written one that could
-    be served. Loads re-certify the kernel ({!Verify.certify_fast}: the
+    be served. Loads re-certify the kernel ({!Analysis.Certify.sorts}: the
     symbolic certifier, with the exact [n!] check as the [Unknown]
     fallback) and cross-check the metadata, and any failure
     {e quarantines} the entry — moves it aside with a recorded reason —
@@ -134,7 +134,7 @@ val recover : ?counters:counters -> root:string -> unit -> recovery
 (** The open-time crash-recovery scan. Rolls back every torn temp
     directory a crashed insert left in the store, and quarantines entries
     that fail the {e structural} checks (readable, parsable, hash/key
-    consistent — the full [n!] certification still happens on every
+    consistent — {!Analysis.Certify.sorts} still re-certifies on every
     serving load). Idempotent; cheap on a healthy store (one metadata
     parse per entry, no certification). Callers that open a registry for
     serving — the CLI's [--cache] path, [run_batch], the registry

@@ -1,23 +1,2 @@
-let ints a =
-  String.concat " " (Array.to_list (Array.map string_of_int a))
-
-(* How many full n!-permutation certifications this process has run —
-   the daemon's proof that a warm in-memory hit skipped re-certification
-   (the entry was certified at admission instead). *)
-let certify_counter = Atomic.make 0
-let certifications () = Atomic.get certify_counter
-
-let certify cfg p =
-  Atomic.incr certify_counter;
-  match Machine.Exec.counterexample cfg p with
-  | None -> Ok ()
-  | Some input ->
-      let output = Machine.Exec.run cfg p input in
-      Error
-        (Printf.sprintf
-           "kernel of length %d fails on input [%s]: produced [%s]"
-           (Isa.Program.length p) (ints input) (ints output))
-
-let certify_fast cfg p = Analysis.Symcert.certify_fast ~fallback:certify cfg p
-let symbolic_proofs = Analysis.Symcert.symbolic_proofs
-let exact_fallbacks = Analysis.Symcert.exact_fallbacks
+let certify = Analysis.Certify.exact
+let certify_fast cfg p = (Analysis.Certify.sorts cfg p).Analysis.Certify.result

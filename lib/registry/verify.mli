@@ -1,32 +1,13 @@
-(** Kernel certification: the registry's trust boundary.
-
-    Nothing leaves the store unchecked — every load re-runs the paper's
-    correctness procedure (all [n!] permutations, {!Machine.Exec}), so a
-    corrupted or stale entry can never be served. The same check replaces
-    the old [assert] in the CLI, which release builds compiled out. *)
+(** The registry's name for the proof module's sortedness checks: an alias
+    of {!Analysis.Certify}, like {!Json} is of {!Jsonv}. Library code calls
+    {!Analysis.Certify} directly; this module stays for the benchmark
+    program under [perfbench/], which times both checks by these names. *)
 
 val certify : Isa.Config.t -> Isa.Program.t -> (unit, string) result
-(** [Ok ()] iff the program sorts all permutations. The error message
-    names the first failing input and the produced output — suitable for
-    printing verbatim as a diagnostic. *)
-
-val certifications : unit -> int
-(** Full [n!]-permutation certifications run by this process, ever —
-    the daemon exports the delta so a warm cache hit can be shown to
-    have skipped re-certification. Monotone; compare readings. *)
+(** {!Analysis.Certify.exact}: the kernel run on all [n!] permutations
+    ({!Machine.Exec}). [Ok ()] iff it sorts them all; the error names the
+    first failing input and the produced output. *)
 
 val certify_fast : Isa.Config.t -> Isa.Program.t -> (unit, string) result
-(** The default trust-boundary check: {!Analysis.Symcert} first, exact
-    {!certify} only when the symbolic verdict is [Unknown]. Same
-    [Ok]/[Error] contract as {!certify} — [Error] always carries a
-    confirmed counterexample — but a symbolically proved kernel skips the
-    [n!] enumeration entirely and bumps {!symbolic_proofs} instead of
-    {!certifications}. *)
-
-val symbolic_proofs : unit -> int
-(** Kernels this process proved symbolically (no [n!] enumeration).
-    Monotone; alias of {!Analysis.Symcert.symbolic_proofs}. *)
-
-val exact_fallbacks : unit -> int
-(** [Unknown] symbolic verdicts that made {!certify_fast} run the exact
-    check. Monotone; alias of {!Analysis.Symcert.exact_fallbacks}. *)
+(** {!Analysis.Certify.sorts}: the symbolic certifier, with {!certify} as
+    the fallback on an [Unknown] verdict. Same [Ok]/[Error] contract. *)

@@ -26,7 +26,6 @@
 
 module Key = Registry.Key
 module Store = Registry.Store
-module Verify = Registry.Verify
 module Scheduler = Registry.Scheduler
 
 type config = {
@@ -225,7 +224,7 @@ let lookup_one t key =
       locked t.store_mutex (fun () ->
           match Store.lookup ~counters:t.store_counters ~root:t.cfg.root key with
           | Store.Hit e ->
-              (* The load above just re-certified through certify_fast:
+              (* The load above just re-certified through Certify.sorts:
                  admission is the certificate. *)
               Lru.add t.lru canonical e;
               served_of_entry ~source:"disk" ~elapsed:(Fault.Clock.now () -. start) key e
@@ -528,9 +527,9 @@ let snapshot t =
         Jsonv.Obj
           [
             ("readdir_calls", Jsonv.Int (Store.readdir_calls ()));
-            ("certifications", Jsonv.Int (Verify.certifications ()));
-            ("symbolic_proofs", Jsonv.Int (Verify.symbolic_proofs ()));
-            ("exact_fallbacks", Jsonv.Int (Verify.exact_fallbacks ()));
+            ("certifications", Jsonv.Int (Analysis.Certify.certifications ()));
+            ("symbolic_proofs", Jsonv.Int (Analysis.Certify.symbolic_proofs ()));
+            ("exact_fallbacks", Jsonv.Int (Analysis.Certify.exact_fallbacks ()));
           ] );
     ]
 

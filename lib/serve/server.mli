@@ -7,7 +7,7 @@
       costs a hashtable probe — zero directory scans and zero [n!]
       re-certifications, provable from the [stats] deltas of
       {!Registry.Store.readdir_calls} and
-      {!Registry.Verify.certifications}.
+      {!Analysis.Certify.certifications}.
     - {b Disk}: the sharded {!Registry.Store}, every access serialized
       on the connection threads under one mutex (workers never touch
       the disk, exactly like [run_batch]). {!Registry.Store.recover}

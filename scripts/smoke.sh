@@ -434,6 +434,16 @@ if grep -q '"verdict":"proved"' "$certdir/gap.json"; then
 fi
 grep -q '"certified":false' "$certdir/gap.json" \
   || { echo "gap kernel was not reported uncertified" >&2; exit 1; }
+grep -q '"detail":"kernel of length 3 fails on input \[2 1\]: produced \[0 2\]"' \
+    "$certdir/gap.json" \
+  || { echo "gap kernel rejection lacks the counterexample line" >&2; exit 1; }
+# One proof module: outside Analysis.Certify and its Registry.Verify
+# alias, no code in lib/ or bin/ may call a retired certification entry
+# point or decide "sorts" / "equivalent" itself.
+if grep -rnE 'Absint\.certify|Symcert\.certify_fast|Verify\.|Opt\.Equiv' lib bin \
+    | grep -vE '^lib/analysis/certify\.mli?:|^lib/registry/verify\.mli?:'; then
+  echo "certification bypasses Analysis.Certify (see the lines above)" >&2; exit 1
+fi
 # The synthesis stats snapshot carries the symcert block, and a fresh
 # synthesis certifies its kernel symbolically (zero exact fallbacks).
 stats="$("$synth" -n 3 --stats-json -)"

@@ -191,22 +191,26 @@ let test_lint_json () =
 (* ------------------------------------------------------------------ *)
 (* Abstract interpretation.                                            *)
 
+(* The final-set criterion: a kernel sorts iff every reachable final
+   assignment is sorted — the abstract interpreter's route to the n! image,
+   independent of the certifiers in Analysis.Certify. *)
+let absint_sorts cfg p =
+  Array.for_all (Machine.Assign.is_sorted cfg)
+    (Analysis.Absint.reachable cfg p).(Array.length p)
+
 let test_absint_sort2 () =
   let p = parse cfg2 sort2 in
   let sizes = Analysis.Absint.set_sizes cfg2 p in
   check Alcotest.int "points" 5 (Array.length sizes);
   check Alcotest.int "initial set = n!" 2 sizes.(0);
   Array.iter (fun s -> assert (s >= 1 && s <= 2)) sizes;
-  (match Analysis.Absint.certify cfg2 p with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
+  check Alcotest.bool "final set sorted" true (absint_sorts cfg2 p);
   check (Alcotest.list Alcotest.int) "no noops" []
     (Analysis.Absint.semantic_noops cfg2 p)
 
 let test_absint_rejects_non_sorting () =
-  match Analysis.Absint.certify cfg2 (parse cfg2 "cmp r1 r2\n") with
-  | Ok () -> Alcotest.fail "certified a non-sorting program"
-  | Error m -> assert (String.length m > 0)
+  if absint_sorts cfg2 (parse cfg2 "cmp r1 r2\n") then
+    Alcotest.fail "certified a non-sorting program"
 
 let prop_certifier_equivalence =
   (* The abstract certifier and the brute-force executor must agree on
@@ -224,8 +228,7 @@ let prop_certifier_equivalence =
         Array.of_list
           (List.map (fun k -> univ.(k mod Array.length univ)) picks)
       in
-      Result.is_ok (Analysis.Absint.certify cfg p)
-      = Machine.Exec.sorts_all_permutations cfg p)
+      absint_sorts cfg p = Machine.Exec.sorts_all_permutations cfg p)
 
 (* ------------------------------------------------------------------ *)
 (* Proof-carrying DCE.                                                 *)

@@ -205,7 +205,7 @@ let test_degradation_ladder () =
   check Alcotest.int "rung" 1 o.Registry.Scheduler.rung;
   (match o.Registry.Scheduler.result.Search.programs with
   | p :: _ -> (
-      match Registry.Verify.certify (Registry.Key.config key) p with
+      match Analysis.Certify.exact (Registry.Key.config key) p with
       | Ok () -> ()
       | Error m -> Alcotest.fail ("degraded kernel does not certify: " ^ m))
   | [] -> Alcotest.fail "ladder produced no kernel");
@@ -283,7 +283,7 @@ let test_never_serve_uncertified () =
         match Registry.Store.lookup ~root key3 with
         | Registry.Store.Hit e -> (
             match
-              Registry.Verify.certify (Registry.Key.config key3)
+              Analysis.Certify.exact (Registry.Key.config key3)
                 e.Registry.Store.program
             with
             | Ok () -> assert (not e.Registry.Store.degraded)
@@ -304,7 +304,7 @@ let test_never_serve_uncertified () =
           match Registry.Store.load_unverified ~root h with
           | Ok e -> (
               match
-                Registry.Verify.certify
+                Analysis.Certify.exact
                   (Registry.Key.config e.Registry.Store.key)
                   e.Registry.Store.program
               with

@@ -6,6 +6,8 @@ let parse cfg s =
   | Ok p -> p
   | Error e -> Alcotest.fail e
 
+let equivalent = Analysis.Certify.equivalent
+
 (* The optimal n=2 kernel and the naive n=3 compilation shipped as
    examples/kernels/sort3_unopt.txt (insertion network with a duplicated
    cmp in the middle comparator). *)
@@ -53,9 +55,7 @@ let prop_pipeline_preserves_behavior =
     ~count:150 random_program (fun spec ->
       let cfg, p = decode_program spec in
       let rep = Opt.Pipeline.run cfg p in
-      match Opt.Equiv.compare cfg p rep.Opt.Pipeline.optimized with
-      | Opt.Equiv.Equivalent -> true
-      | Opt.Equiv.Differs _ -> false)
+      Result.is_ok (equivalent cfg p rep.Opt.Pipeline.optimized))
 
 (* Property 2: the cost gate. Optimization never increases the
    instruction count nor the simulated cycle count. *)
@@ -85,7 +85,7 @@ let extraction_roundtrip_on name net =
         (Sortnet.sorts_all_binary net');
       let recompiled = Sortnet.to_kernel cfg net' in
       check Alcotest.bool (name ^ " recompiled equivalent") true
-        (Opt.Equiv.compare cfg k recompiled = Opt.Equiv.Equivalent)
+        (Result.is_ok (equivalent cfg k recompiled))
 
 let test_extraction_roundtrip () =
   for n = 2 to 5 do
@@ -151,7 +151,7 @@ let test_pipeline_improves_naive_sort3 () =
     (rep.Opt.Pipeline.deltas <> []);
   check Alcotest.bool "still certified" true rep.Opt.Pipeline.certified;
   check Alcotest.bool "equivalent" true
-    (Opt.Equiv.compare cfg p q = Opt.Equiv.Equivalent)
+    (Result.is_ok (equivalent cfg p q))
 
 let test_pipeline_refuses_sabotage () =
   (* Arm the opt.break_pass fault site: every proposal is mutated into a
@@ -196,7 +196,7 @@ let test_schedule_fills_stall_slots () =
   check Alcotest.bool "strictly fewer simulated cycles" true
     (Perf.Cost.simulated_cycles cfg q < Perf.Cost.simulated_cycles cfg p);
   check Alcotest.bool "still equivalent" true
-    (Opt.Equiv.compare cfg p q = Opt.Equiv.Equivalent)
+    (Result.is_ok (equivalent cfg p q))
 
 let test_redundant_cmp_pass () =
   let cfg = Isa.Config.default 2 in
@@ -214,7 +214,7 @@ let test_coalesce_cmov_pass () =
   check Alcotest.bool "collapsed to a mov" true
     (Array.exists (fun i -> i.Isa.Instr.op = Isa.Instr.Mov && i.Isa.Instr.dst = 0) q);
   check Alcotest.bool "equivalent" true
-    (Opt.Equiv.compare cfg p q = Opt.Equiv.Equivalent)
+    (Result.is_ok (equivalent cfg p q))
 
 let test_canonicalize_pass () =
   (* Scratch registers renumber in first-write order: a kernel using s2
@@ -232,17 +232,27 @@ let test_equiv_counterexample () =
   let cfg = Isa.Config.default 2 in
   let sorts = parse cfg sort2 in
   let id = [||] in
-  (match Opt.Equiv.compare cfg sorts sorts with
-  | Opt.Equiv.Equivalent -> ()
-  | Opt.Equiv.Differs _ -> Alcotest.fail "kernel differs from itself");
-  match Opt.Equiv.compare cfg sorts id with
-  | Opt.Equiv.Equivalent -> Alcotest.fail "sort2 equivalent to the identity"
-  | Opt.Equiv.Differs { input; out_a; out_b } ->
+  (match equivalent cfg sorts sorts with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "kernel differs from itself");
+  (match equivalent cfg sorts id with
+  | Ok () -> Alcotest.fail "sort2 equivalent to the identity"
+  | Error { Analysis.Certify.input; out_a; out_b } ->
       (* The counterexample must be a genuine witness. *)
       check
         (Alcotest.array Alcotest.int)
         "identity echoes the input" input out_b;
-      check Alcotest.bool "outputs differ" true (out_a <> out_b)
+      check Alcotest.bool "outputs differ" true (out_a <> out_b));
+  (* The zero-one gap kernel (examples/gap/zeroone_gap.txt) agrees with
+     sort2 on every binary input but not on the permutation [2 1]. *)
+  let gap = parse cfg "cmp r1 r2\ncmovg r2 r1\ncmovg r1 s1\n" in
+  match equivalent cfg sorts gap with
+  | Ok () -> Alcotest.fail "sort2 equivalent to the gap kernel"
+  | Error { Analysis.Certify.input; out_a; out_b } ->
+      let ints = Alcotest.array Alcotest.int in
+      check ints "first differing permutation" [| 2; 1 |] input;
+      check ints "sort2 output" [| 1; 2 |] out_a;
+      check ints "gap kernel output" [| 0; 2 |] out_b
 
 let () =
   Alcotest.run "opt"

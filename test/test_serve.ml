@@ -116,14 +116,14 @@ let test_lru_certified_at_admission () =
   check Alcotest.string "cold from disk" "disk"
     (Option.value ~default:"?" cold.Serve.Protocol.source);
   let readdir0 = Registry.Store.readdir_calls () in
-  let certs0 = Registry.Verify.certifications () in
+  let certs0 = Analysis.Certify.certifications () in
   let warm = served_exn (Serve.Server.handle srv (Serve.Protocol.Lookup key2)) in
   check Alcotest.string "warm from memory" "memory"
     (Option.value ~default:"?" warm.Serve.Protocol.source);
   check Alcotest.int "zero directory scans on a warm hit" 0
     (Registry.Store.readdir_calls () - readdir0);
   check Alcotest.int "zero re-certifications on a warm hit" 0
-    (Registry.Verify.certifications () - certs0);
+    (Analysis.Certify.certifications () - certs0);
   check
     Alcotest.(option string)
     "same kernel text" cold.Serve.Protocol.kernel warm.Serve.Protocol.kernel
@@ -710,14 +710,14 @@ let test_drain_persists_and_restores () =
        [ "serve"; "snapshot"; "restored" ]);
   (* ...and the very first request is a memory hit. *)
   let readdir0 = Registry.Store.readdir_calls () in
-  let certs0 = Registry.Verify.certifications () in
+  let certs0 = Analysis.Certify.certifications () in
   let s = served_exn (Serve.Server.handle srv2 (Serve.Protocol.Lookup key2)) in
   check Alcotest.string "warm from the restored set" "memory"
     (Option.value ~default:"?" s.Serve.Protocol.source);
   check Alcotest.int "zero directory scans" 0
     (Registry.Store.readdir_calls () - readdir0);
   check Alcotest.int "zero re-certifications" 0
-    (Registry.Verify.certifications () - certs0)
+    (Analysis.Certify.certifications () - certs0)
 
 (* Zero trust in the snapshot file: hand-tampered bytes mean a cold
    start, never a crash and never uncertified serving. *)

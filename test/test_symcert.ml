@@ -5,8 +5,10 @@
      it rejects, and the carried counterexample replays on the machine;
    - the Machine.Zeroone gap kernel (sorts all 2^n binary inputs, fails a
      permutation) is never Proved — the adversarial regression;
-   - the trust boundaries (Registry.Verify.certify_fast) route Proved
-     kernels around the n! enumeration, with the counters to show it. *)
+   - the proof module (Analysis.Certify.sorts) routes Proved kernels
+     around the n! enumeration, with the counters to show it, and every
+     boundary that certifies goes through it: the same verdict and the
+     same counterexample line at each one. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -137,17 +139,14 @@ let test_zeroone_gap_kernel_not_proved () =
           Alcotest.fail "symcert PROVED the Zeroone gap kernel (unsound!)"
       | Analysis.Symcert.Unknown _ -> ()
       | Analysis.Symcert.Refuted _ -> assert_refutation_confirmed cfg p v);
-      (* And the fast path rejects it without ever running the fallback. *)
-      let fb = ref 0 in
-      let fallback cfg p =
-        incr fb;
-        Registry.Verify.certify cfg p
-      in
-      (match Analysis.Symcert.certify_fast ~fallback cfg p with
-      | Ok () -> Alcotest.fail "certify_fast accepted the gap kernel"
+      (* And the proof module rejects it without running the fallback. *)
+      let fb0 = Analysis.Certify.exact_fallbacks () in
+      (match (Analysis.Certify.sorts cfg p).Analysis.Certify.result with
+      | Ok () -> Alcotest.fail "Certify.sorts accepted the gap kernel"
       | Error msg ->
           if not (String.length msg > 0) then Alcotest.fail "empty error");
-      check Alcotest.int "no fallback needed to refute" 0 !fb
+      check Alcotest.int "no fallback needed to refute" fb0
+        (Analysis.Certify.exact_fallbacks ())
 
 (* ------------------------------------------------------------------ *)
 (* Soundness gate: randomized programs, n = 2..5.                      *)
@@ -187,7 +186,8 @@ let test_soundness_n4 = soundness_gate ~n:4 ~m:1 ~runs:80 ~max_len:12
 let test_soundness_n5 = soundness_gate ~n:5 ~m:1 ~runs:30 ~max_len:10
 
 (* QCheck property: the symcert verdict agrees with the permutation-set
-   abstract interpreter (Absint) and the exact check on random programs. *)
+   abstract interpreter (Absint: every reachable final assignment sorted)
+   and the exact check on random programs. *)
 let qcheck_agrees_with_absint =
   let gen =
     QCheck.Gen.(
@@ -205,7 +205,10 @@ let qcheck_agrees_with_absint =
   in
   QCheck.Test.make ~count:150 ~name:"symcert agrees with absint and exact"
     (QCheck.make ~print gen) (fun (cfg, p) ->
-      let absint_ok = Result.is_ok (Analysis.Absint.certify cfg p) in
+      let absint_ok =
+        Array.for_all (Machine.Assign.is_sorted cfg)
+          (Analysis.Absint.reachable cfg p).(Array.length p)
+      in
       let exact_ok = exact_sorts cfg p in
       if absint_ok <> exact_ok then
         QCheck.Test.fail_reportf "absint and exact disagree";
@@ -215,56 +218,148 @@ let qcheck_agrees_with_absint =
       | Analysis.Symcert.Unknown _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* The fast path and its counters.                                     *)
+(* The proof module's counters.                                        *)
+
+let counters () =
+  Analysis.Certify.
+    (symbolic_proofs (), exact_fallbacks (), certifications ())
 
 let test_counters_and_fast_path () =
   let cfg = Isa.Config.default 3 in
   let p = parse cfg sort3 in
-  let sp0 = Analysis.Symcert.symbolic_proofs () in
-  let fb0 = Analysis.Symcert.exact_fallbacks () in
+  let sorts ?max_worlds p =
+    (Analysis.Certify.sorts ?max_worlds cfg p).Analysis.Certify.result
+  in
+  let sp0, fb0, ex0 = counters () in
   (* Proved: Ok, symbolic_proofs ticks, no fallback. *)
-  (match Analysis.Symcert.certify_fast cfg p with
+  (match sorts p with
   | Ok () -> ()
   | Error e -> Alcotest.failf "sort3 rejected: %s" e);
-  check Alcotest.int "symbolic_proofs +1" (sp0 + 1)
-    (Analysis.Symcert.symbolic_proofs ());
-  check Alcotest.int "exact_fallbacks unchanged" fb0
-    (Analysis.Symcert.exact_fallbacks ());
-  (* Refuted: Error in the Verify.certify message format, no counter. *)
-  (match Analysis.Symcert.certify_fast cfg (parse cfg sort2) with
+  let sp, fb, ex = counters () in
+  check Alcotest.int "symbolic_proofs +1" (sp0 + 1) sp;
+  check Alcotest.int "exact_fallbacks unchanged" fb0 fb;
+  check Alcotest.int "certifications unchanged" ex0 ex;
+  (* Refuted: Error in the exact check's message format, no counter. *)
+  (match sorts (parse cfg sort2) with
   | Ok () -> Alcotest.fail "accepted a non-sorting kernel"
   | Error msg ->
       if not (String.length msg >= 16 && String.sub msg 0 16 = "kernel of length")
       then Alcotest.failf "unexpected error format: %s" msg);
-  check Alcotest.int "refuted bumps nothing" (sp0 + 1)
-    (Analysis.Symcert.symbolic_proofs ());
-  check Alcotest.int "refuted no fallback" fb0
-    (Analysis.Symcert.exact_fallbacks ());
-  (* Unknown (starved world budget): the fallback runs and decides. *)
-  let fb_ran = ref 0 in
-  let fallback cfg p =
-    incr fb_ran;
-    Registry.Verify.certify cfg p
-  in
-  (match Analysis.Symcert.certify_fast ~max_worlds:1 ~fallback cfg p with
+  check Alcotest.bool "refuted bumps nothing" true
+    (counters () = (sp0 + 1, fb0, ex0));
+  (* Unknown (starved world budget): the exact fallback runs and decides,
+     and the fallback and exact counters move together. *)
+  (match sorts ~max_worlds:1 p with
   | Ok () -> ()
   | Error e -> Alcotest.failf "fallback rejected sort3: %s" e);
-  check Alcotest.int "fallback ran once" 1 !fb_ran;
-  check Alcotest.int "exact_fallbacks +1" (fb0 + 1)
-    (Analysis.Symcert.exact_fallbacks ())
+  (match sorts ~max_worlds:1 (parse cfg sort2) with
+  | Ok () -> Alcotest.fail "fallback accepted a non-sorting kernel"
+  | Error _ -> ());
+  let sp, fb, ex = counters () in
+  check Alcotest.int "no symbolic proof under a starved budget" (sp0 + 1) sp;
+  check Alcotest.int "exact_fallbacks +2" (fb0 + 2) fb;
+  check Alcotest.int "certifications moved with the fallbacks" (fb - fb0)
+    (ex - ex0)
 
 let test_verify_certify_fast_skips_enumeration () =
   let cfg = Isa.Config.default 3 in
   let p = parse cfg sort3 in
-  let exact0 = Registry.Verify.certifications () in
-  let sp0 = Registry.Verify.symbolic_proofs () in
+  let sp0, _, exact0 = counters () in
   (match Registry.Verify.certify_fast cfg p with
   | Ok () -> ()
   | Error e -> Alcotest.failf "certify_fast rejected sort3: %s" e);
   check Alcotest.int "no exact certification ran" exact0
-    (Registry.Verify.certifications ());
+    (Analysis.Certify.certifications ());
   check Alcotest.int "proved symbolically" (sp0 + 1)
-    (Registry.Verify.symbolic_proofs ())
+    (Analysis.Certify.symbolic_proofs ())
+
+(* Linting, DCE and the optimizer all certify through the proof module,
+   so each one is visible in its counters. *)
+let test_every_caller_counts () =
+  let cfg = Isa.Config.default 3 in
+  let p = parse cfg sort3 in
+  let moves what f =
+    let sp0 = Analysis.Certify.symbolic_proofs () in
+    f ();
+    if Analysis.Certify.symbolic_proofs () <= sp0 then
+      Alcotest.failf "%s did not move symbolic_proofs" what
+  in
+  moves "lint" (fun () -> ignore (Analysis.Lint.check_all cfg p));
+  moves "dce" (fun () ->
+      check Alcotest.bool "dce certified" true
+        (Analysis.Dce.run cfg p).Analysis.Dce.certified);
+  moves "optimize" (fun () ->
+      check Alcotest.bool "optimizer certified" true
+        (Opt.Pipeline.run cfg p).Opt.Pipeline.certified)
+
+(* ------------------------------------------------------------------ *)
+(* One verdict, one message at every boundary: the zero-one gap kernel
+   (examples/gap/zeroone_gap.txt) is rejected everywhere with the same
+   confirmed counterexample line.                                      *)
+
+let gap_src = "cmp r1 r2\ncmovg r2 r1\ncmovg r1 s1\n"
+let gap_line = "kernel of length 3 fails on input [2 1]: produced [0 2]"
+
+let ends_with ~suffix s =
+  let n = String.length s and k = String.length suffix in
+  n >= k && String.sub s (n - k) k = suffix
+
+let test_gap_rejected_at_every_boundary () =
+  let cfg = Isa.Config.default 2 in
+  let gap = parse cfg gap_src in
+  check
+    (Alcotest.result Alcotest.unit Alcotest.string)
+    "Certify.sorts" (Error gap_line)
+    (Analysis.Certify.sorts cfg gap).Analysis.Certify.result;
+  (* Store.insert: the registry's admission check. *)
+  let key = Registry.Key.make 2 in
+  let r = { (Search.run cfg) with Search.programs = [ gap ] } in
+  let root = Filename.temp_dir "sortsynth-gap" "" in
+  check
+    (Alcotest.result Alcotest.unit Alcotest.string)
+    "Store.insert" (Error gap_line)
+    (Result.map ignore (Registry.Store.insert ~root key r));
+  (* Opt.Cert.discharge: a "rewrite" of sort2 into the gap kernel. *)
+  (match
+     Opt.Cert.discharge cfg
+       { Opt.Cert.pass = "gap"; before = parse cfg sort2; after = gap }
+   with
+  | Ok () -> Alcotest.fail "discharge accepted the gap rewrite"
+  | Error e ->
+      if not (ends_with ~suffix:(": " ^ gap_line) e) then
+        Alcotest.failf "discharge: unexpected message %s" e);
+  (* Lint's not-sorting rule. *)
+  let not_sorting =
+    List.filter_map
+      (fun (f : Analysis.Lint.finding) ->
+        if f.rule = Analysis.Lint.Not_sorting then Some f.message else None)
+      (Analysis.Lint.check_all cfg gap)
+  in
+  check (Alcotest.list Alcotest.string) "Lint not-sorting" [ gap_line ]
+    not_sorting;
+  (* DCE: the kernel does not sort before or after. *)
+  let d = Analysis.Dce.run cfg gap in
+  check Alcotest.bool "Dce certified" false d.Analysis.Dce.certified;
+  check Alcotest.bool "Dce refused" false d.Analysis.Dce.refused;
+  (* The CLI: synth certify --json exits 1 with the same line. *)
+  let out = Filename.temp_file "sortsynth-gap" ".json" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/synth.exe certify --json \
+                       ../examples/gap/zeroone_gap.txt > %s"
+         (Filename.quote out))
+  in
+  check Alcotest.int "synth certify exit code" 1 code;
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  let field obj k =
+    Option.bind (Jsonv.member k obj) (fun v -> Result.to_option (Jsonv.to_str v))
+  in
+  match Jsonv.parse text with
+  | Ok (Jsonv.Arr [ obj ]) ->
+      let str = Alcotest.option Alcotest.string in
+      check str "synth certify verdict" (Some "refuted") (field obj "verdict");
+      check str "synth certify detail" (Some gap_line) (field obj "detail")
+  | Ok _ | Error _ -> Alcotest.failf "synth certify --json printed %s" text
 
 (* ------------------------------------------------------------------ *)
 (* The search-facing final check.                                      *)
@@ -416,8 +511,15 @@ let () =
           Alcotest.test_case "counters" `Quick test_counters_and_fast_path;
           Alcotest.test_case "verify.certify_fast skips n!" `Quick
             test_verify_certify_fast_skips_enumeration;
+          Alcotest.test_case "every caller counts" `Quick
+            test_every_caller_counts;
           Alcotest.test_case "search final check" `Slow
             test_search_final_check;
+        ] );
+      ( "boundaries",
+        [
+          Alcotest.test_case "gap kernel rejected everywhere alike" `Quick
+            test_gap_rejected_at_every_boundary;
         ] );
       ( "lint-rules",
         [
