@@ -861,7 +861,7 @@ let run_analyze file n m json =
   | Ok (cfg, prog, lines) ->
       let findings = Analysis.Lint.check_all cfg prog in
       let sizes = Analysis.Absint.set_sizes cfg prog in
-      let cert = (Analysis.Certify.sorts cfg prog).Analysis.Certify.result in
+      let cert = Analysis.Certify.sorts cfg prog in
       let d = Analysis.Dce.run cfg prog in
       let removed = d.Analysis.Dce.removed in
       if json then begin
@@ -1128,7 +1128,7 @@ let devlint_cmd =
         $ devlint_waivers_arg))
 
 (* ------------------------------------------------------------------ *)
-(* certify: the CLI face of [Analysis.Certify.sorts] — the symbolic
+(* certify: the CLI face of [Analysis.Certify.decide] — the symbolic
    sortedness certifier, exact fallback on Unknown.                    *)
 
 let run_certify files n m json =
@@ -1147,7 +1147,7 @@ let run_certify files n m json =
               (file, Error msg)
           | Ok (cfg, prog, _lines) ->
               let { Analysis.Certify.symbolic; result } =
-                Analysis.Certify.sorts cfg prog
+                Analysis.Certify.decide cfg prog
               in
               let method_ =
                 match symbolic with

@@ -21,7 +21,7 @@ let exact cfg p =
   | None -> Ok ()
   | Some input -> fails p input (Machine.Exec.run cfg p input)
 
-let sorts ?max_worlds cfg p =
+let decide ?max_worlds cfg p =
   let symbolic = Symcert.certify ?max_worlds cfg p in
   let result =
     match symbolic with
@@ -34,6 +34,8 @@ let sorts ?max_worlds cfg p =
         exact cfg p
   in
   { symbolic; result }
+
+let sorts ?max_worlds cfg p = (decide ?max_worlds cfg p).result
 
 let equivalent cfg a b =
   let out p perm =

@@ -13,21 +13,25 @@
     shortcut ({!Machine.Zeroone}) is never used: it is unsound for cmov
     kernels (paper §2.3). *)
 
+val sorts :
+  ?max_worlds:int -> Isa.Config.t -> Isa.Program.t -> (unit, string) result
+(** [Ok ()] iff the kernel sorts all [n!] permutations. [Error] is a
+    confirmed counterexample line,
+    ["kernel of length L fails on input [..]: produced [..]"]. A [Proved]
+    symbolic verdict ticks {!symbolic_proofs}; [Refuted] needs no counter;
+    [Unknown] ticks {!exact_fallbacks} and runs {!exact}. [max_worlds] is
+    passed to {!Symcert.certify}; tests starve it to force the fallback. *)
+
 type outcome = {
   symbolic : Symcert.verdict;
       (** The symbolic certifier's verdict. The exact fallback ran iff this
           is [Unknown]. *)
-  result : (unit, string) result;
-      (** [Ok ()] iff the kernel sorts all [n!] permutations. [Error] is a
-          confirmed counterexample line,
-          ["kernel of length L fails on input [..]: produced [..]"]. *)
+  result : (unit, string) result;  (** What {!sorts} returns. *)
 }
 
-val sorts : ?max_worlds:int -> Isa.Config.t -> Isa.Program.t -> outcome
-(** Decide whether the kernel sorts. [Proved] ticks {!symbolic_proofs};
-    [Refuted] needs no counter; [Unknown] ticks {!exact_fallbacks} and runs
-    {!exact}. [max_worlds] is passed to {!Symcert.certify}; tests starve it
-    to force the fallback. *)
+val decide : ?max_worlds:int -> Isa.Config.t -> Isa.Program.t -> outcome
+(** {!sorts} with the symbolic verdict kept, for [synth certify], which
+    reports how the answer was reached. Same counters. *)
 
 val exact : Isa.Config.t -> Isa.Program.t -> (unit, string) result
 (** The exact fallback on its own: the paper's correctness procedure, the

@@ -79,9 +79,8 @@ let run cfg p =
   fix ();
   let optimized = !cur in
   let preserved = Result.is_ok (Certify.equivalent cfg p optimized) in
-  let certifies q = Result.is_ok (Certify.sorts cfg q).Certify.result in
-  let in_certifies = certifies p in
-  let out_certifies = certifies optimized in
+  let in_certifies = Result.is_ok (Certify.sorts cfg p) in
+  let out_certifies = Result.is_ok (Certify.sorts cfg optimized) in
   if preserved && (out_certifies || not in_certifies) then
     {
       optimized;

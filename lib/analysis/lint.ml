@@ -197,7 +197,7 @@ let check_all cfg p =
                 (Isa.Instr.to_string cfg p.(i))))
   in
   let cert =
-    match (Certify.sorts cfg p).result with
+    match Certify.sorts cfg p with
     | Ok () -> []
     | Error m -> [ finding Not_sorting None m ]
   in

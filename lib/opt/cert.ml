@@ -3,13 +3,16 @@ type t = { pass : string; before : Isa.Program.t; after : Isa.Program.t }
 let ints a = String.concat " " (Array.to_list (Array.map string_of_int a))
 
 let discharge cfg { pass; before; after } =
-  let sorts p = (Analysis.Certify.sorts cfg p).Analysis.Certify.result in
   (* Two independent proofs. Equivalence already implies the output sorts
      whenever the input does; re-certifying anyway means a bug in either
      check is caught by the other. The sortedness proof goes first so a
      rewrite that breaks a sorting kernel is refused with the certifier's
      counterexample line. *)
-  match if Result.is_ok (sorts before) then sorts after else Ok () with
+  match
+    if Result.is_ok (Analysis.Certify.sorts cfg before) then
+      Analysis.Certify.sorts cfg after
+    else Ok ()
+  with
   | Error line ->
       Error
         (Printf.sprintf

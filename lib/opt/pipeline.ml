@@ -92,5 +92,5 @@ let run ?(passes = Passes.all) cfg p =
     refusals = List.rev !refusals;
     rounds = !round;
     certified =
-      Result.is_ok (Analysis.Certify.sorts cfg !current).Analysis.Certify.result;
+      Result.is_ok (Analysis.Certify.sorts cfg !current);
   }

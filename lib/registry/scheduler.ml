@@ -160,7 +160,7 @@ let run_one ?(optimize = false) ?domains ?mode ~timeout ~retries ~backoff
       | o -> (
           match o.result.Search.programs with
           | p :: _ -> (
-              match (Analysis.Certify.sorts cfg p).Analysis.Certify.result with
+              match Analysis.Certify.sorts cfg p with
               | Ok () ->
                   (* Post-synthesis polish: every rewrite the pipeline
                      applies is certified bit-identical, and a refused

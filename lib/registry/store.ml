@@ -359,11 +359,9 @@ let load ~root hash =
 
 let load_unverified ~root hash = load ~root hash
 
-let sorts cfg p = (Analysis.Certify.sorts cfg p).Analysis.Certify.result
-
 let certified ~root hash =
   let* e = load ~root hash in
-  let* () = sorts (Key.config e.key) e.program in
+  let* () = Analysis.Certify.sorts (Key.config e.key) e.program in
   Ok e
 
 let lookup ?counters ~root key =
@@ -406,7 +404,7 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
     | [] -> Error "search result has no program to store"
     | program :: _ -> (
         let cfg = Key.config key in
-        let* () = sorts cfg program in
+        let* () = Analysis.Certify.sorts cfg program in
         let entry =
           {
             key;
