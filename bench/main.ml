@@ -512,179 +512,6 @@ let bench_search_cli rest =
   let out = match !out with Some "-" -> None | o -> o in
   bench_search ~out ~rev:!rev ~check:!check ~tolerance:!tolerance
 
-(* ------------------------------------------------------------------ *)
-(* Serving latency trajectory (BENCH_serve.json).
-
-   `--bench-serve [FILE]` drives an in-process daemon (no socket — the
-   serving layers, not the kernel's socket stack, are what this repo
-   owns) and records two rows: warm-hit latency (p50/p99 over a few
-   thousand memory-cache lookups) and the shed rate when a burst of
-   distinct searches hits a deliberately tiny pool (1 worker, 1 queue
-   slot). The overload row doubles as a liveness check: every request in
-   the burst must resolve to a typed status — a hang or an empty slot
-   fails the run. *)
-
-let serve_warm_requests = 2000
-let serve_burst = 12
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
-
-let serve_config root =
-  {
-    Serve.Server.socket_path = "unused.sock";
-    root;
-    capacity = 64;
-    workers = 2;
-    max_conns = 64;
-    max_queue = 32;
-    breaker_threshold = 3;
-    breaker_cooldown = 5.0;
-    drain_grace = 5.0;
-  }
-
-let bench_serve ~out ~rev =
-  (* Warm-hit row: one priming synthesis, then timed memory hits. *)
-  let root = Filename.temp_dir "sortsynth-bench-serve" "" in
-  let key = Registry.Key.make 3 in
-  let srv = Serve.Server.create (serve_config root) in
-  (match
-     Serve.Server.handle srv
-       (Serve.Protocol.Synth (key, Serve.Protocol.default_params))
-   with
-  | Serve.Protocol.Served s when s.Serve.Protocol.kernel <> None -> ()
-  | _ ->
-      prerr_endline "bench-serve: priming synthesis failed";
-      exit 1);
-  let samples =
-    Array.init serve_warm_requests (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Serve.Server.handle srv (Serve.Protocol.Lookup key));
-        (Unix.gettimeofday () -. t0) *. 1e6)
-  in
-  Serve.Server.destroy srv;
-  Array.sort compare samples;
-  let p50 = percentile samples 0.50 and p99 = percentile samples 0.99 in
-  (* Overload row: a burst of distinct searches against a 1-worker,
-     1-slot daemon. Distinct cut factors make distinct keys, so nothing
-     coalesces and admission does all the work. *)
-  let root2 = Filename.temp_dir "sortsynth-bench-serve" "-overload" in
-  let srv2 =
-    Serve.Server.create
-      { (serve_config root2) with workers = 1; max_queue = 1 }
-  in
-  let keys =
-    List.init serve_burst (fun i ->
-        Registry.Key.make
-          ~cut:(Registry.Key.cut_of_factor (1.0 +. (0.01 *. float_of_int i)))
-          3)
-  in
-  let statuses = Array.make serve_burst "" in
-  let threads =
-    List.mapi
-      (fun i k ->
-        Thread.create
-          (fun () ->
-            statuses.(i) <-
-              (match
-                 Serve.Server.handle srv2
-                   (Serve.Protocol.Synth (k, Serve.Protocol.default_params))
-               with
-              | Serve.Protocol.Served s -> s.Serve.Protocol.status
-              | _ -> "protocol_error"))
-          ())
-      keys
-  in
-  List.iter Thread.join threads;
-  Serve.Server.destroy srv2;
-  let count p = Array.fold_left (fun a s -> if p s then a + 1 else a) 0 statuses in
-  let unresolved = count (fun s -> s = "" || s = "protocol_error") in
-  if unresolved > 0 then begin
-    Printf.eprintf
-      "bench-serve: %d of %d burst requests never resolved to a typed status\n"
-      unresolved serve_burst;
-    exit 1
-  end;
-  let shed = count (fun s -> s = "overloaded" || s = "circuit_open") in
-  let shed_rate = float_of_int shed /. float_of_int serve_burst in
-  Printf.printf "%-18s %10s %10s\n" "bench" "p50" "p99";
-  Printf.printf "%-18s %8.1fus %8.1fus   (%d warm hits)\n" "warm-hit" p50 p99
-    serve_warm_requests;
-  Printf.printf "%-18s shed %d/%d (rate %.2f), all typed\n" "overload-burst"
-    shed serve_burst shed_rate;
-  match out with
-  | None -> ()
-  | Some path ->
-      let history =
-        match load_history path with
-        | Ok h -> h
-        | Error e ->
-            Printf.eprintf "cannot append to %s: %s\n" path e;
-            exit 1
-      in
-      let entry =
-        Jsonv.Obj
-          [
-            ("rev", Jsonv.Str rev);
-            ( "entries",
-              Jsonv.Arr
-                [
-                  Jsonv.Obj
-                    [
-                      ("bench", Jsonv.Str "warm-hit");
-                      ("requests", Jsonv.Int serve_warm_requests);
-                      ("p50_us", Jsonv.Float p50);
-                      ("p99_us", Jsonv.Float p99);
-                    ];
-                  Jsonv.Obj
-                    [
-                      ("bench", Jsonv.Str "overload-burst");
-                      ("requests", Jsonv.Int serve_burst);
-                      ("shed", Jsonv.Int shed);
-                      ("shed_rate", Jsonv.Float shed_rate);
-                    ];
-                ] );
-          ]
-      in
-      let json =
-        Jsonv.Obj
-          [
-            ("schema", Jsonv.Str "sortsynth-bench-serve/v1");
-            ("history", Jsonv.Arr (history @ [ entry ]));
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (Jsonv.to_string json);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s (%d history entries)\n" path
-        (List.length history + 1)
-
-let bench_serve_cli rest =
-  let out = ref None and rev = ref "local" in
-  let rec parse = function
-    | [] -> ()
-    | "--rev" :: v :: tl ->
-        rev := v;
-        parse tl
-    | v :: tl when v = "-" || (v <> "" && v.[0] <> '-') ->
-        out := Some v;
-        parse tl
-    | v :: _ ->
-        Printf.eprintf
-          "unknown bench-serve option %s\n\
-           usage: main.exe --bench-serve [FILE] [--rev NAME]\n"
-          v;
-        exit 2
-  in
-  parse rest;
-  let out = match !out with Some "-" -> None | o -> o in
-  bench_serve ~out ~rev:!rev
-
 (* --stats-json [FILE|-]: skip the Bechamel run and dump a machine-readable
    search-stats snapshot instead — one JSON object per representative
    engine run (A*, level-sync enumeration, parallel), self-validated
@@ -720,7 +547,6 @@ let stats_snapshot () =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "--bench-search" :: rest -> bench_search_cli rest
-  | _ :: "--bench-serve" :: rest -> bench_serve_cli rest
   | _ :: "--stats-json" :: rest -> (
       let json = stats_snapshot () in
       match rest with

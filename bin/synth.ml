@@ -183,7 +183,7 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
       Printf.sprintf "synth n=%d engine=%s" n (Registry.Key.engine_to_string engine)
     in
     let root = resolve_root cache_dir in
-    let counters = Registry.Store.fresh_counters () in
+    let counters = Registry.Store.counters (Obs.create ()) in
     (* Only plain find-first requests are cacheable: the store holds one
        kernel per key, not solution enumerations or non-existence proofs. *)
     let cacheable = cache && mode = Search.Find_first in
@@ -230,20 +230,15 @@ let run n minmax engine jobs all cut heuristic max_len x86 prove_none pddl
     in
     let extra () =
       let note name r = Option.to_list (Option.map (fun j -> (name, j)) !r) in
-      (if cache then [ ("registry", Registry.Store.counters_json counters) ]
+      (if cache then [ ("registry", Obs.to_json counters.Registry.Store.group) ]
        else [])
       @ note "analysis" analysis_note
       @ note "degraded" degraded_note
       @ note "opt" opt_note
       @ [
           ( "symcert",
-            Jsonv.Obj
-              [
-                ("symbolic_proofs", Jsonv.Int (Analysis.Certify.symbolic_proofs ()));
-                ("exact_fallbacks", Jsonv.Int (Analysis.Certify.exact_fallbacks ()));
-                ( "exact_certifications",
-                  Jsonv.Int (Analysis.Certify.certifications ()) );
-              ] );
+            Obs.select Obs.Process.group
+              [ "symbolic_proofs"; "exact_fallbacks"; "certifications" ] );
         ]
     in
     let dump_stats stats =
@@ -634,9 +629,11 @@ let run_batch jobs_file server workers timeout retries backoff budget no_cache
       Printf.printf
         "# registry: %d hits, %d misses, %d quarantined, %d inserted, %d \
          recovered\n"
-        c.Registry.Store.hits c.Registry.Store.misses
-        c.Registry.Store.quarantined c.Registry.Store.inserted
-        c.Registry.Store.recovered;
+        (Obs.get c.Registry.Store.hits)
+        (Obs.get c.Registry.Store.misses)
+        (Obs.get c.Registry.Store.quarantined)
+        (Obs.get c.Registry.Store.inserted)
+        (Obs.get c.Registry.Store.recovered);
       (match stats_json with
       | Some path -> write_json path (Registry.Scheduler.batch_json b)
       | None -> ());
@@ -1565,7 +1562,7 @@ let registry_migrate cache_dir =
 
 let registry_verify cache_dir lint stats_json =
   let root = resolve_root cache_dir in
-  let counters = Registry.Store.fresh_counters () in
+  let counters = Registry.Store.counters (Obs.create ()) in
   let rcv = Registry.Store.recover ~counters ~root () in
   if rcv.Registry.Store.rolled_back > 0 then
     Printf.printf "# recovered: %d torn insert(s) rolled back\n"
@@ -1585,7 +1582,8 @@ let registry_verify cache_dir lint stats_json =
     checked;
   Printf.printf "# %d ok, %d quarantined (%d by the static analyzer)\n"
     (List.length checked - !bad)
-    !bad counters.Registry.Store.lint_errors;
+    !bad
+    (Obs.get counters.Registry.Store.lint_errors);
   (match stats_json with
   | None -> ()
   | Some path ->
@@ -1598,7 +1596,7 @@ let registry_verify cache_dir lint stats_json =
                 ("lint", Jsonv.Bool lint);
                 ("checked", Jsonv.Int (List.length checked));
                 ("ok", Jsonv.Int (List.length checked - !bad));
-                ("registry", Registry.Store.counters_json counters);
+                ("registry", Obs.to_json counters.Registry.Store.group);
               ])));
   (* Any corrupted entry — found by the recovery scan or the certify
      sweep — is the documented "registry corruption" exit code. *)

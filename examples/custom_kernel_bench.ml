@@ -51,7 +51,7 @@ let () =
   in
   show "mine" kernel;
   let synthesized =
-    match Sortsynth.synthesize 3 with Some p -> p | None -> assert false
+    match Search.synthesize 3 with Some p -> p | None -> assert false
   in
   show "synthesized" synthesized;
   show "paper" Perf.Kernels.paper_sort3;

@@ -7,14 +7,14 @@ let () =
   let n = 3 in
   (* One call: the paper's best enumerative configuration, result verified
      on all n! permutations. *)
-  match Sortsynth.synthesize n with
+  match Search.synthesize n with
   | None -> prerr_endline "synthesis failed"
   | Some kernel ->
       let cfg = Isa.Config.default n in
       Printf.printf "Synthesized a %d-instruction branchless sorting kernel:\n\n"
         (Array.length kernel);
       print_endline (Isa.Program.to_string cfg kernel);
-      Printf.printf "\nAs x86-64 assembly:\n\n%s\n" (Sortsynth.to_x86 n kernel);
+      Printf.printf "\nAs x86-64 assembly:\n\n%s\n" (Isa.Program.to_x86 cfg kernel);
       (* Execute it on an arbitrary input (the ISA is constant-free, so
          correctness on permutations extends to any integers). *)
       let input = [| 1047; -3; 512 |] in

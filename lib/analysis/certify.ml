@@ -1,13 +1,6 @@
 type outcome = { symbolic : Symcert.verdict; result : (unit, string) result }
 type difference = { input : int array; out_a : int array; out_b : int array }
 
-let symbolic_counter = Atomic.make 0
-let fallback_counter = Atomic.make 0
-let exact_counter = Atomic.make 0
-let symbolic_proofs () = Atomic.get symbolic_counter
-let exact_fallbacks () = Atomic.get fallback_counter
-let certifications () = Atomic.get exact_counter
-
 let ints a = String.concat " " (Array.to_list (Array.map string_of_int a))
 
 let fails p input output =
@@ -16,7 +9,7 @@ let fails p input output =
        (Isa.Program.length p) (ints input) (ints output))
 
 let exact cfg p =
-  Atomic.incr exact_counter;
+  Obs.incr Obs.Process.certifications;
   match Machine.Exec.counterexample cfg p with
   | None -> Ok ()
   | Some input -> fails p input (Machine.Exec.run cfg p input)
@@ -26,11 +19,11 @@ let decide ?max_worlds cfg p =
   let result =
     match symbolic with
     | Symcert.Proved ->
-        Atomic.incr symbolic_counter;
+        Obs.incr Obs.Process.symbolic_proofs;
         Ok ()
     | Symcert.Refuted { input; output } -> fails p input output
     | Symcert.Unknown _ ->
-        Atomic.incr fallback_counter;
+        Obs.incr Obs.Process.exact_fallbacks;
         exact cfg p
   in
   { symbolic; result }

@@ -4,8 +4,10 @@
     Every trust boundary (registry load and insert, the scheduler's
     post-synthesis check), the optimizer's rewrite certificates, the
     analyzer ({!Lint}'s [not-sorting] rule, {!Dce}) and the CLI route
-    through {!sorts} and {!equivalent}, and the process-wide counters below
-    are ticked only here, so they count every proof the process ran.
+    through {!sorts} and {!equivalent}. The process-wide counters
+    {!Obs.Process.symbolic_proofs}, {!Obs.Process.exact_fallbacks} and
+    {!Obs.Process.certifications} are ticked only here, so they count every
+    proof the process ran.
 
     {!sorts} runs the symbolic order-poset certifier ({!Symcert}) first.
     Only on an [Unknown] verdict does it run the one exact fallback,
@@ -18,9 +20,10 @@ val sorts :
 (** [Ok ()] iff the kernel sorts all [n!] permutations. [Error] is a
     confirmed counterexample line,
     ["kernel of length L fails on input [..]: produced [..]"]. A [Proved]
-    symbolic verdict ticks {!symbolic_proofs}; [Refuted] needs no counter;
-    [Unknown] ticks {!exact_fallbacks} and runs {!exact}. [max_worlds] is
-    passed to {!Symcert.certify}; tests starve it to force the fallback. *)
+    symbolic verdict ticks {!Obs.Process.symbolic_proofs}; [Refuted] needs
+    no counter; [Unknown] ticks {!Obs.Process.exact_fallbacks} and runs
+    {!exact}. [max_worlds] is passed to {!Symcert.certify}; tests starve it
+    to force the fallback. *)
 
 type outcome = {
   symbolic : Symcert.verdict;
@@ -35,7 +38,8 @@ val decide : ?max_worlds:int -> Isa.Config.t -> Isa.Program.t -> outcome
 
 val exact : Isa.Config.t -> Isa.Program.t -> (unit, string) result
 (** The exact fallback on its own: the paper's correctness procedure, the
-    kernel run on all [n!] permutations. Ticks {!certifications}. The
+    kernel run on all [n!] permutations. Ticks
+    {!Obs.Process.certifications}. The
     error names the lexicographically first failing input. *)
 
 type difference = { input : int array; out_a : int array; out_b : int array }
@@ -51,16 +55,3 @@ val equivalent :
     on arbitrary inputs. [Error] carries the lexicographically first
     differing permutation. Scratch contents and flags are not observable;
     [cfg] must be wide enough for both kernels. *)
-
-val symbolic_proofs : unit -> int
-(** Kernels {!sorts} proved symbolically, without [n!] enumeration.
-    Monotone; compare readings. *)
-
-val exact_fallbacks : unit -> int
-(** [Unknown] symbolic verdicts that sent {!sorts} to {!exact}. Monotone.
-    Stays at zero on decidable workloads. *)
-
-val certifications : unit -> int
-(** Exact [n!] checks ({!exact}) run by this process, fallbacks included.
-    Monotone. The daemon exports its delta to show that a warm cache hit
-    skipped re-certification. *)

@@ -259,7 +259,7 @@ let crashed_placeholder key =
 
 let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
     ?budget ?(optimize = false) keys =
-  let counters = Store.fresh_counters () in
+  let counters = Store.counters (Obs.create ()) in
   (* Crash recovery before the first lookup: roll back torn temp
      directories and re-quarantine structurally broken entries a crashed
      predecessor left behind. *)
@@ -292,7 +292,7 @@ let run_batch ?root ?(workers = 2) ?timeout ?(retries = 1) ?(backoff = 0.05)
       in
       match root with
       | None ->
-          counters.Store.misses <- counters.Store.misses + 1;
+          Obs.incr counters.Store.misses;
           pending := i :: !pending
       | Some root -> (
           match Store.lookup ~counters ~root key with
@@ -401,5 +401,5 @@ let batch_json batch =
     (Jsonv.Obj
        [
          ("jobs", Jsonv.Arr (List.map job batch.results));
-         ("registry", Store.counters_json batch.counters);
+         ("registry", Obs.to_json batch.counters.Store.group);
        ])

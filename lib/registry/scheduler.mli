@@ -197,5 +197,5 @@ val poison_status : status -> bool
 val batch_json : batch -> string
 (** Machine-readable batch summary:
     [{"jobs":[...],"registry":{"hits":...}}]. Each job carries [degraded],
-    [rung], and its [attempt_log]; the registry object is
-    {!Store.counters_json}. Rendered by {!Jsonv.to_string}. *)
+    [rung], and its [attempt_log]; the registry object is the
+    {!Store.counters} group. Rendered by {!Jsonv.to_string}. *)

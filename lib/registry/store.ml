@@ -1,32 +1,23 @@
 type counters = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable quarantined : int;
-  mutable inserted : int;
-  mutable lint_errors : int;
-  mutable recovered : int;
+  group : Obs.group;
+  hits : Obs.counter;
+  misses : Obs.counter;
+  quarantined : Obs.counter;
+  inserted : Obs.counter;
+  lint_errors : Obs.counter;
+  recovered : Obs.counter;
 }
 
-let fresh_counters () =
-  {
-    hits = 0;
-    misses = 0;
-    quarantined = 0;
-    inserted = 0;
-    lint_errors = 0;
-    recovered = 0;
-  }
-
-let counters_json c =
-  Jsonv.Obj
-    [
-      ("hits", Jsonv.Int c.hits);
-      ("misses", Jsonv.Int c.misses);
-      ("quarantined", Jsonv.Int c.quarantined);
-      ("inserted", Jsonv.Int c.inserted);
-      ("lint_errors", Jsonv.Int c.lint_errors);
-      ("recovered", Jsonv.Int c.recovered);
-    ]
+(* One binding per cell: registration order is the rendered key order. *)
+let counters group =
+  let c = Obs.counter group in
+  let hits = c "hits" in
+  let misses = c "misses" in
+  let quarantined = c "quarantined" in
+  let inserted = c "inserted" in
+  let lint_errors = c "lint_errors" in
+  let recovered = c "recovered" in
+  { group; hits; misses; quarantined; inserted; lint_errors; recovered }
 
 type provenance = { optimized_from : string; passes : string list }
 
@@ -56,12 +47,10 @@ let store_dir root = root / "store"
 let quarantine_dir root = root / "quarantine"
 
 (* Every directory scan in this module goes through this wrapper so the
-   daemon can prove a warm lookup touched no directory at all: the counter
-   is the "zero Sys.readdir calls" evidence exported by `synth serve`
-   stats. *)
-let readdir_counter = Atomic.make 0
-let readdir dir = Atomic.incr readdir_counter; Sys.readdir dir
-let readdir_calls () = Atomic.get readdir_counter
+   daemon can prove a warm lookup touched no directory at all: the
+   process-wide readdir_calls cell is the "zero Sys.readdir calls"
+   evidence exported by `synth serve` stats. *)
+let readdir dir = Obs.incr Obs.Process.readdir_calls; Sys.readdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Sharded layout.
@@ -365,16 +354,16 @@ let certified ~root hash =
   Ok e
 
 let lookup ?counters ~root key =
-  let bump f = Option.iter f counters in
+  let bump cell = match counters with Some c -> Obs.incr (cell c) | None -> () in
   let hash = Key.hash key in
   if locate ~root hash = None then begin
-    bump (fun c -> c.misses <- c.misses + 1);
+    bump (fun c -> c.misses);
     Miss
   end
   else
     match certified ~root hash with
     | Ok e when Key.equal e.key key ->
-        bump (fun c -> c.hits <- c.hits + 1);
+        bump (fun c -> c.hits);
         Hit e
     | Ok e ->
         (* MD5 collision or a hand-edited entry: never serve it. *)
@@ -383,11 +372,11 @@ let lookup ?counters ~root key =
             (Key.canonical e.key) (Key.canonical key)
         in
         quarantine ~root ~hash ~reason;
-        bump (fun (c : counters) -> c.quarantined <- c.quarantined + 1);
+        bump (fun c -> c.quarantined);
         Quarantined reason
     | Error reason ->
         quarantine ~root ~hash ~reason;
-        bump (fun (c : counters) -> c.quarantined <- c.quarantined + 1);
+        bump (fun c -> c.quarantined);
         Quarantined reason
 
 (* ------------------------------------------------------------------ *)
@@ -455,7 +444,7 @@ let insert ?counters ?(degraded = false) ?provenance ~root key
           fsync_path shard
         with
         | () ->
-            Option.iter (fun c -> c.inserted <- c.inserted + 1) counters;
+            Option.iter (fun c -> Obs.incr c.inserted) counters;
             Ok entry
         | exception Fault.Injected site ->
             (* A simulated crash: leave the torn staging directory exactly
@@ -499,9 +488,9 @@ let recover ?counters ~root () =
           incr requarantined)
     s.hashes;
   Option.iter
-    (fun (c : counters) ->
-      c.recovered <- c.recovered + !rolled_back;
-      c.quarantined <- c.quarantined + !requarantined)
+    (fun c ->
+      Obs.add c.recovered !rolled_back;
+      Obs.add c.quarantined !requarantined)
     counters;
   { rolled_back = !rolled_back; requarantined = !requarantined }
 
@@ -643,18 +632,14 @@ let verify_all ?counters ?(lint = false) ~root () =
             match lint_entry e with
             | Ok () -> Ok e
             | Error reason ->
-                Option.iter
-                  (fun c -> c.lint_errors <- c.lint_errors + 1)
-                  counters;
+                Option.iter (fun c -> Obs.incr c.lint_errors) counters;
                 Error reason)
       in
       match vetted with
       | Ok e -> (hash, Ok e)
       | Error reason ->
           quarantine ~root ~hash ~reason;
-          Option.iter
-            (fun (c : counters) -> c.quarantined <- c.quarantined + 1)
-            counters;
+          Option.iter (fun (c : counters) -> Obs.incr c.quarantined) counters;
           (hash, Error reason))
     (list_hashes ~root)
 

@@ -36,25 +36,25 @@
     optimal under their key's pruning configuration. *)
 
 type counters = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable quarantined : int;
-  mutable inserted : int;
-  mutable lint_errors : int;
+  group : Obs.group;  (** The group the six cells below render in. *)
+  hits : Obs.counter;
+  misses : Obs.counter;
+  quarantined : Obs.counter;
+  inserted : Obs.counter;
+  lint_errors : Obs.counter;
       (** Entries that certified but carried ERROR-level static-analysis
           findings during a [~lint:true] {!verify_all} sweep (a subset of
           [quarantined]). *)
-  mutable recovered : int;
+  recovered : Obs.counter;
       (** Torn temp directories rolled back by {!recover}. *)
 }
-(** Mutable tallies for one serving session. [hits], [misses], and
-    [quarantined] are disjoint per lookup. *)
+(** Tallies for one serving session (a daemon, a batch, one CLI run).
+    [hits], [misses], and [quarantined] are disjoint per lookup. *)
 
-val fresh_counters : unit -> counters
-
-val counters_json : counters -> Jsonv.t
-(** The counters as a JSON object, e.g. [{"hits":1,"misses":0,...}] — the
-    value handed to {!Search.Stats.to_json}'s [extra] field. *)
+val counters : Obs.group -> counters
+(** Register the six cells into [group], which then renders as the
+    session's [registry] block:
+    [{"hits":..,"misses":..,"quarantined":..,"inserted":..,"lint_errors":..,"recovered":..}]. *)
 
 type provenance = {
   optimized_from : string;
@@ -93,12 +93,6 @@ val default_root : unit -> string
 val entry_dir : root:string -> Key.t -> string
 (** The directory the key's entry lives in (sharded position first, then
     the flat v1 one); the would-be sharded position when absent. *)
-
-val readdir_calls : unit -> int
-(** Directory scans this process has performed inside the store layer,
-    ever — the daemon's proof that a warm in-memory lookup touched no
-    directory at all ([stats] exports the delta). Monotone; compare two
-    readings, never the absolute value. *)
 
 val lookup : ?counters:counters -> root:string -> Key.t -> lookup
 (** Verified load. [Hit] entries have been re-certified just now;

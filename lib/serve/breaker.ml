@@ -33,29 +33,63 @@ type t = {
   cooldown : float;
   table : (string, entry) Hashtbl.t;
   mutex : Mutex.t;
-  mutable trips : int;
-  mutable half_opens : int;
-  mutable recoveries : int;
-  mutable rejections : int;
+  trips : Obs.counter;
+  half_opens : Obs.counter;
+  recoveries : Obs.counter;
+  rejections : Obs.counter;
 }
 
 type verdict = Allow | Reject of float  (* retry_after seconds *)
 
-let create ~threshold ~cooldown =
-  {
-    threshold = max 1 threshold;
-    cooldown = max 0. cooldown;
-    table = Hashtbl.create 16;
-    mutex = Mutex.create ();
-    trips = 0;
-    half_opens = 0;
-    recoveries = 0;
-    rejections = 0;
-  }
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+let phase_string = function
+  | Closed -> "closed"
+  | Open -> "open"
+  | Half_open -> "half_open"
+
+(* Every key the breaker is currently tracking (tripped, probing, or
+   accumulating failures), for the stats snapshot. *)
+let tracked t =
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun canonical e acc ->
+          (canonical, phase_string e.phase, e.failures) :: acc)
+        t.table [])
+
+let key_json (canonical, state, failures) =
+  Jsonv.Obj
+    [
+      ("key", Jsonv.Str canonical);
+      ("state", Jsonv.Str state);
+      ("failures", Jsonv.Int failures);
+    ]
+
+(* The stats block shows the configured values, before clamping. *)
+let create ~threshold ~cooldown obs =
+  Obs.gauge obs "threshold" (fun () -> Jsonv.Int threshold);
+  Obs.gauge obs "cooldown_s" (fun () -> Jsonv.Float cooldown);
+  let trips = Obs.counter obs "trips" in
+  let half_opens = Obs.counter obs "half_opens" in
+  let recoveries = Obs.counter obs "recoveries" in
+  let rejections = Obs.counter obs "rejections" in
+  let t =
+    {
+      threshold = max 1 threshold;
+      cooldown = max 0. cooldown;
+      table = Hashtbl.create 16;
+      mutex = Mutex.create ();
+      trips;
+      half_opens;
+      recoveries;
+      rejections;
+    }
+  in
+  Obs.gauge obs "keys" (fun () ->
+      Jsonv.Arr (List.map key_json (List.sort compare (tracked t))));
+  t
 
 let admit t canonical =
   locked t (fun () ->
@@ -69,16 +103,16 @@ let admit t canonical =
               if now >= e.opened_until then begin
                 (* Cooldown over: admit one probe. *)
                 e.phase <- Half_open;
-                t.half_opens <- t.half_opens + 1;
+                Obs.incr t.half_opens;
                 Allow
               end
               else begin
-                t.rejections <- t.rejections + 1;
+                Obs.incr t.rejections;
                 Reject (e.opened_until -. now)
               end
           | Half_open ->
               (* A probe is in flight; everyone else waits a beat. *)
-              t.rejections <- t.rejections + 1;
+              Obs.incr t.rejections;
               Reject t.cooldown))
 
 let success t canonical =
@@ -86,7 +120,7 @@ let success t canonical =
       match Hashtbl.find_opt t.table canonical with
       | None -> ()
       | Some e ->
-          if e.phase <> Closed then t.recoveries <- t.recoveries + 1;
+          if e.phase <> Closed then Obs.incr t.recoveries;
           Hashtbl.remove t.table canonical)
 
 let failure t canonical =
@@ -103,7 +137,7 @@ let failure t canonical =
       let trip () =
         e.phase <- Open;
         e.opened_until <- Fault.Clock.now () +. t.cooldown;
-        t.trips <- t.trips + 1
+        Obs.incr t.trips
       in
       match e.phase with
       | Half_open -> trip () (* the probe failed: straight back to Open *)
@@ -125,33 +159,3 @@ let abort t canonical =
           e.phase <- Open;
           e.opened_until <- Fault.Clock.now () +. t.cooldown
       | Some _ | None -> ())
-
-type counters = {
-  trips : int;
-  half_opens : int;
-  recoveries : int;
-  rejections : int;
-}
-
-let counters t =
-  locked t (fun () ->
-      {
-        trips = t.trips;
-        half_opens = t.half_opens;
-        recoveries = t.recoveries;
-        rejections = t.rejections;
-      })
-
-let phase_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
-
-(* Every key the breaker is currently tracking (tripped, probing, or
-   accumulating failures), for the stats snapshot. *)
-let tracked t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun canonical e acc ->
-          (canonical, phase_string e.phase, e.failures) :: acc)
-        t.table [])

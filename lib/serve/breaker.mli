@@ -25,9 +25,13 @@ type verdict =
   | Allow
   | Reject of float  (** Fast-fail, with a retry_after hint in seconds. *)
 
-val create : threshold:int -> cooldown:float -> t
+val create : threshold:int -> cooldown:float -> Obs.group -> t
 (** Trip a key open after [max 1 threshold] consecutive failures; admit
-    a half-open probe after [cooldown] seconds on the warped clock. *)
+    a half-open probe after [cooldown] seconds on the warped clock. The
+    breaker registers its stats block into the group, in this order: the
+    configured [threshold] and [cooldown_s], the [trips], [half_opens],
+    [recoveries] and [rejections] counters, and [keys], every tracked key
+    as [{"key","state","failures"}], sorted. *)
 
 val admit : t -> string -> verdict
 (** Gate one request for the canonical key. May transition the key from
@@ -49,15 +53,6 @@ val abort : t -> string -> unit
     can probe again; in any other phase this is a no-op. Every leader
     exit must call exactly one of {!success}, {!failure}, or {!abort},
     or a [Half_open] key would reject all comers forever. *)
-
-type counters = {
-  trips : int;
-  half_opens : int;
-  recoveries : int;
-  rejections : int;
-}
-
-val counters : t -> counters
 
 val tracked : t -> (string * string * int) list
 (** Every key the breaker currently tracks, as

@@ -20,12 +20,12 @@ type t = {
   mutable head : node option;  (* most recently used *)
   mutable tail : node option;  (* least recently used; evicted first *)
   mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  hits : Obs.counter;
+  misses : Obs.counter;
+  evictions : Obs.counter;
 }
 
-let create ~capacity =
+let create ~capacity ~hits ~misses ~evictions =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   {
     capacity;
@@ -33,9 +33,9 @@ let create ~capacity =
     head = None;
     tail = None;
     mutex = Mutex.create ();
-    hits = 0;
-    misses = 0;
-    evictions = 0;
+    hits;
+    misses;
+    evictions;
   }
 
 let locked t f =
@@ -58,12 +58,12 @@ let find t canonical =
   locked t (fun () ->
       match Hashtbl.find_opt t.table canonical with
       | Some n ->
-          t.hits <- t.hits + 1;
+          Obs.incr t.hits;
           unlink t n;
           push_front t n;
           Some n.entry
       | None ->
-          t.misses <- t.misses + 1;
+          Obs.incr t.misses;
           None)
 
 let add t canonical entry =
@@ -80,7 +80,7 @@ let add t canonical entry =
           | Some lru ->
               unlink t lru;
               Hashtbl.remove t.table lru.canonical;
-              t.evictions <- t.evictions + 1
+              Obs.incr t.evictions
           | None -> ())
 
 let remove t canonical =
@@ -113,14 +113,3 @@ let contents t =
         | Some n -> go (n.canonical :: acc) n.next
       in
       go [] t.head)
-
-type stats = { hits : int; misses : int; evictions : int; size : int }
-
-let stats t =
-  locked t (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        size = Hashtbl.length t.table;
-      })

@@ -15,14 +15,21 @@
 
 type t
 
-val create : capacity:int -> t
+val create :
+  capacity:int ->
+  hits:Obs.counter ->
+  misses:Obs.counter ->
+  evictions:Obs.counter ->
+  t
 (** At most [capacity] entries; adding past that evicts the least
     recently used. [capacity = 0] disables caching ({!add} is a no-op);
-    negative raises [Invalid_argument]. *)
+    negative raises [Invalid_argument]. {!find} ticks [hits] or [misses];
+    an eviction ticks [evictions]. The owner registers the three cells,
+    so they render wherever its stats document puts them. *)
 
 val find : t -> string -> Registry.Store.entry option
 (** Lookup by canonical key, bumping the entry to most-recent and the
-    hit/miss counters. *)
+    [hits]/[misses] cell. *)
 
 val add : t -> string -> Registry.Store.entry -> unit
 (** Admit a just-certified entry (replacing any previous value for the
@@ -40,7 +47,3 @@ val contents : t -> string list
 val keys : t -> Registry.Key.t list
 (** Registry keys, most recently used first — the warm set a draining
     server persists via {!Registry.Store.write_warmset}. *)
-
-type stats = { hits : int; misses : int; evictions : int; size : int }
-
-val stats : t -> stats

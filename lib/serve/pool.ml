@@ -56,7 +56,7 @@ type t = {
   mutable queue_hwm : int;
   workers : int;
   max_queue : int;
-  deaths : int Atomic.t;
+  deaths : Obs.counter;
 }
 
 let worker t =
@@ -75,7 +75,7 @@ let worker t =
   in
   loop ()
 
-let create ?(max_queue = max_int) ~workers () =
+let create ?(max_queue = max_int) ~workers ~deaths () =
   let workers = max 1 workers in
   let t =
     {
@@ -88,14 +88,13 @@ let create ?(max_queue = max_int) ~workers () =
       queue_hwm = 0;
       workers;
       max_queue = max 0 max_queue;
-      deaths = Atomic.make 0;
+      deaths;
     }
   in
   t.handles <- List.init workers (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let size t = t.workers
-let worker_deaths t = Atomic.get t.deaths
 
 let queued t =
   Mutex.lock t.mutex;
@@ -131,7 +130,7 @@ let run ?deadline t f =
         | Some d when Fault.Clock.now () > d -> Error Expired_in_queue
         | _ ->
             if Fault.fire Fault.Serve_worker_death then begin
-              Atomic.incr t.deaths;
+              Obs.incr t.deaths;
               Error Worker_died
             end
             else (match f () with v -> Ok v | exception e -> Error e)

@@ -46,11 +46,11 @@ val queue_stall_warp : float
 
 type t
 
-val create : ?max_queue:int -> workers:int -> unit -> t
+val create : ?max_queue:int -> workers:int -> deaths:Obs.counter -> unit -> t
 (** Spawn [max 1 workers] domains that live until {!shutdown}. At most
     [max_queue] submitted jobs may wait unclaimed (default unbounded);
     note every job passes through the queue, so [max_queue = 0] refuses
-    all work. *)
+    all work. Each {!Worker_died} outcome ticks [deaths]. *)
 
 val run : ?deadline:float -> t -> (unit -> 'a) -> ('a, exn) result
 (** Submit a closure and block until a worker has run it (or admission
@@ -59,7 +59,6 @@ val run : ?deadline:float -> t -> (unit -> 'a) -> ('a, exn) result
     [Error] — they never kill the worker. *)
 
 val size : t -> int
-val worker_deaths : t -> int
 
 val queued : t -> int
 (** Jobs currently waiting unclaimed. *)

@@ -50,6 +50,7 @@ type flight = {
 
 type t = {
   cfg : config;
+  obs : Obs.group;  (* the whole stats document *)
   lru : Lru.t;
   pool : Pool.t;
   breaker : Breaker.t;
@@ -57,25 +58,24 @@ type t = {
   store_mutex : Mutex.t;
   flights : (string, flight) Hashtbl.t;
   flight_mutex : Mutex.t;
-  requests : int Atomic.t;
-  coalesced : int Atomic.t;
-  searches : int Atomic.t;
-  inflight : int Atomic.t;
-  recover_runs : int Atomic.t;
-  torn_connections : int Atomic.t;
-  connections : int Atomic.t;
-  active_conns : int Atomic.t;
-  shed_queue_full : int Atomic.t;
-  shed_deadline : int Atomic.t;
-  shed_circuit : int Atomic.t;
-  shed_conn_budget : int Atomic.t;
-  shed_draining : int Atomic.t;
-  snapshot_restored : int Atomic.t;
-  snapshot_written : int Atomic.t;
+  requests : Obs.counter;
+  coalesced : Obs.counter;
+  searches : Obs.counter;
+  inflight : Obs.counter;
+  recover_runs : Obs.counter;
+  torn_connections : Obs.counter;
+  connections : Obs.counter;
+  active_conns : Obs.counter;
+  shed_queue_full : Obs.counter;
+  shed_deadline : Obs.counter;
+  shed_circuit : Obs.counter;
+  shed_conn_budget : Obs.counter;
+  shed_draining : Obs.counter;
+  snapshot_restored : Obs.counter;
+  snapshot_written : Obs.counter;
   stop : bool Atomic.t;
   draining : bool Atomic.t;
   drained : bool Atomic.t;  (* drain ran to completion exactly once *)
-  started : float;
 }
 
 let locked m f =
@@ -85,7 +85,7 @@ let locked m f =
 (* store_mutex must be held. *)
 let recover_locked t =
   ignore (Store.recover ~counters:t.store_counters ~root:t.cfg.root ());
-  Atomic.incr t.recover_runs
+  Obs.incr t.recover_runs
 
 (* Warm restart: re-admit the snapshot's keys through the ordinary
    certified lookup path. The snapshot carries zero trust — a tampered
@@ -104,44 +104,93 @@ let restore_warmset t =
           with
           | Store.Hit e ->
               Lru.add t.lru (Key.canonical key) e;
-              Atomic.incr t.snapshot_restored
+              Obs.incr t.snapshot_restored
           | Store.Miss | Store.Quarantined _ -> ())
         (List.rev keys)
 
+(* The stats document is the registration order below: one binding per
+   entry, so the order cannot depend on how OCaml evaluates a record. *)
 let create cfg =
+  let obs = Obs.create () in
+  let serve = Obs.group obs "serve" in
+  let counter = Obs.counter serve and gauge = Obs.gauge serve in
+  let requests = counter "requests" in
+  let cache_hits = counter "cache_hits" in
+  let cache_misses = counter "cache_misses" in
+  let coalesced = counter "coalesced" in
+  let evictions = counter "evictions" in
+  let inflight = counter "inflight" in
+  let searches = counter "searches" in
+  let recover_runs = counter "recover_runs" in
+  let worker_deaths = counter "worker_deaths" in
+  let torn_connections = counter "torn_connections" in
+  let connections = counter "connections" in
+  let active_conns = counter "active_conns" in
+  let lru =
+    Lru.create ~capacity:cfg.capacity ~hits:cache_hits ~misses:cache_misses
+      ~evictions
+  in
+  (* Every job passes through the queue on its way to a worker, so a
+     queue bound below one slot would refuse all work outright. *)
+  let pool =
+    Pool.create ~max_queue:(max 1 cfg.max_queue) ~workers:cfg.workers
+      ~deaths:worker_deaths ()
+  in
+  let draining = Atomic.make false in
+  gauge "max_conns" (fun () -> Jsonv.Int cfg.max_conns);
+  gauge "queued" (fun () -> Jsonv.Int (Pool.queued pool));
+  gauge "queue_hwm" (fun () -> Jsonv.Int (Pool.queue_hwm pool));
+  gauge "max_queue" (fun () -> Jsonv.Int cfg.max_queue);
+  gauge "draining" (fun () -> Jsonv.Bool (Atomic.get draining));
+  let shed = Obs.group serve "shed" in
+  let shed_queue_full = Obs.counter shed "queue_full" in
+  let shed_deadline = Obs.counter shed "deadline_expired" in
+  let shed_circuit = Obs.counter shed "circuit_open" in
+  let shed_conn_budget = Obs.counter shed "conn_budget" in
+  let shed_draining = Obs.counter shed "draining" in
+  let breaker =
+    Breaker.create ~threshold:cfg.breaker_threshold
+      ~cooldown:cfg.breaker_cooldown (Obs.group serve "breaker")
+  in
+  let snapshot = Obs.group serve "snapshot" in
+  let snapshot_restored = Obs.counter snapshot "restored" in
+  let snapshot_written = Obs.counter snapshot "written" in
+  gauge "lru_size" (fun () -> Jsonv.Int (Lru.length lru));
+  gauge "lru_capacity" (fun () -> Jsonv.Int (Lru.capacity lru));
+  gauge "workers" (fun () -> Jsonv.Int (Pool.size pool));
+  let started = Fault.Clock.now () in
+  gauge "uptime_s" (fun () -> Jsonv.Float (Fault.Clock.now () -. started));
+  let store_counters = Store.counters (Obs.group obs "registry") in
+  Obs.gauge obs "process" (fun () -> Obs.to_json Obs.Process.group);
   let t =
     {
       cfg;
-      lru = Lru.create ~capacity:cfg.capacity;
-      (* Every job passes through the queue on its way to a worker, so a
-         queue bound below one slot would refuse all work outright. *)
-      pool = Pool.create ~max_queue:(max 1 cfg.max_queue) ~workers:cfg.workers ();
-      breaker =
-        Breaker.create ~threshold:cfg.breaker_threshold
-          ~cooldown:cfg.breaker_cooldown;
-      store_counters = Store.fresh_counters ();
+      obs;
+      lru;
+      pool;
+      breaker;
+      store_counters;
       store_mutex = Mutex.create ();
       flights = Hashtbl.create 16;
       flight_mutex = Mutex.create ();
-      requests = Atomic.make 0;
-      coalesced = Atomic.make 0;
-      searches = Atomic.make 0;
-      inflight = Atomic.make 0;
-      recover_runs = Atomic.make 0;
-      torn_connections = Atomic.make 0;
-      connections = Atomic.make 0;
-      active_conns = Atomic.make 0;
-      shed_queue_full = Atomic.make 0;
-      shed_deadline = Atomic.make 0;
-      shed_circuit = Atomic.make 0;
-      shed_conn_budget = Atomic.make 0;
-      shed_draining = Atomic.make 0;
-      snapshot_restored = Atomic.make 0;
-      snapshot_written = Atomic.make 0;
+      requests;
+      coalesced;
+      searches;
+      inflight;
+      recover_runs;
+      torn_connections;
+      connections;
+      active_conns;
+      shed_queue_full;
+      shed_deadline;
+      shed_circuit;
+      shed_conn_budget;
+      shed_draining;
+      snapshot_restored;
+      snapshot_written;
       stop = Atomic.make false;
-      draining = Atomic.make false;
+      draining;
       drained = Atomic.make false;
-      started = Fault.Clock.now ();
     }
   in
   (* Crash recovery once at open, before the first request can load a
@@ -247,7 +296,7 @@ let synth_leader t key (p : Protocol.synth_params) =
   (* serve.overload: deterministic admission rejection, as if the queue
      were full — the chaos hook for exercising shed paths end to end. *)
   if Fault.fire Fault.Serve_overload then begin
-    Atomic.incr t.shed_queue_full;
+    Obs.incr t.shed_queue_full;
     Breaker.abort t.breaker canonical;
     overloaded
       ~elapsed:(Fault.Clock.now () -. start)
@@ -273,7 +322,7 @@ let synth_leader t key (p : Protocol.synth_params) =
         Breaker.success t.breaker canonical;
         served
     | None -> (
-        Atomic.incr t.searches;
+        Obs.incr t.searches;
         let job () =
           (* Queue-wait comes out of the client's budget: the scheduler
              gets whatever is left of the deadline, never more than the
@@ -301,19 +350,19 @@ let synth_leader t key (p : Protocol.synth_params) =
               Protocol.status = "crashed";
             }
         | Error Pool.Queue_full ->
-            Atomic.incr t.shed_queue_full;
+            Obs.incr t.shed_queue_full;
             Breaker.abort t.breaker canonical;
             overloaded
               ~elapsed:(Fault.Clock.now () -. start)
               ~retry_after:0.1 ~error:"request queue full" key
         | Error Pool.Expired_in_queue ->
-            Atomic.incr t.shed_deadline;
+            Obs.incr t.shed_deadline;
             Breaker.abort t.breaker canonical;
             deadline_expired
               ~elapsed:(Fault.Clock.now () -. start)
               ~where:"while queued" key
         | Error Pool.Drained ->
-            Atomic.incr t.shed_draining;
+            Obs.incr t.shed_draining;
             Breaker.abort t.breaker canonical;
             overloaded
               ~elapsed:(Fault.Clock.now () -. start)
@@ -344,7 +393,7 @@ let synth_one t key p =
   | None ->
       if Atomic.get t.draining then begin
         (* Warm hits above still serve during drain; new work does not. *)
-        Atomic.incr t.shed_draining;
+        Obs.incr t.shed_draining;
         overloaded ~elapsed:0. ~retry_after:1.0 ~error:"server is draining" key
       end
       else if
@@ -353,7 +402,7 @@ let synth_one t key p =
         | None -> false
       then begin
         (* Nobody is waiting for this answer; don't even coalesce. *)
-        Atomic.incr t.shed_deadline;
+        Obs.incr t.shed_deadline;
         deadline_expired ~elapsed:0. ~where:"before dispatch" key
       end
       else begin
@@ -361,7 +410,7 @@ let synth_one t key p =
           locked t.flight_mutex (fun () ->
               match Hashtbl.find_opt t.flights canonical with
               | Some fl ->
-                  Atomic.incr t.coalesced;
+                  Obs.incr t.coalesced;
                   `Join fl
               | None -> (
                   (* The breaker gates leaders only: joining an in-flight
@@ -378,7 +427,7 @@ let synth_one t key p =
         in
         match role with
         | `Shed retry_after ->
-            Atomic.incr t.shed_circuit;
+            Obs.incr t.shed_circuit;
             circuit_open ~elapsed:0. ~retry_after key
         | `Join fl ->
             locked fl.fm (fun () ->
@@ -447,97 +496,13 @@ let batch_fanout t keys p =
          | Some s -> s
          | None -> miss ~elapsed:0. ~error:"batch job never ran" keys.(i))
 
-let snapshot t =
-  let ls = Lru.stats t.lru in
-  let registry =
-    locked t.store_mutex (fun () -> Store.counters_json t.store_counters)
-  in
-  let bc = Breaker.counters t.breaker in
-  let breaker =
-    Jsonv.Obj
-      [
-        ("threshold", Jsonv.Int t.cfg.breaker_threshold);
-        ("cooldown_s", Jsonv.Float t.cfg.breaker_cooldown);
-        ("trips", Jsonv.Int bc.Breaker.trips);
-        ("half_opens", Jsonv.Int bc.Breaker.half_opens);
-        ("recoveries", Jsonv.Int bc.Breaker.recoveries);
-        ("rejections", Jsonv.Int bc.Breaker.rejections);
-        ( "keys",
-          Jsonv.Arr
-            (List.map
-               (fun (canonical, state, failures) ->
-                 Jsonv.Obj
-                   [
-                     ("key", Jsonv.Str canonical);
-                     ("state", Jsonv.Str state);
-                     ("failures", Jsonv.Int failures);
-                   ])
-               (List.sort compare (Breaker.tracked t.breaker))) );
-      ]
-  in
-  let sheds =
-    Jsonv.Obj
-      [
-        ("queue_full", Jsonv.Int (Atomic.get t.shed_queue_full));
-        ("deadline_expired", Jsonv.Int (Atomic.get t.shed_deadline));
-        ("circuit_open", Jsonv.Int (Atomic.get t.shed_circuit));
-        ("conn_budget", Jsonv.Int (Atomic.get t.shed_conn_budget));
-        ("draining", Jsonv.Int (Atomic.get t.shed_draining));
-      ]
-  in
-  let snapshot_block =
-    Jsonv.Obj
-      [
-        ("restored", Jsonv.Int (Atomic.get t.snapshot_restored));
-        ("written", Jsonv.Int (Atomic.get t.snapshot_written));
-      ]
-  in
-  Jsonv.Obj
-    [
-      ( "serve",
-        Jsonv.Obj
-          [
-            ("requests", Jsonv.Int (Atomic.get t.requests));
-            ("cache_hits", Jsonv.Int ls.Lru.hits);
-            ("cache_misses", Jsonv.Int ls.Lru.misses);
-            ("coalesced", Jsonv.Int (Atomic.get t.coalesced));
-            ("evictions", Jsonv.Int ls.Lru.evictions);
-            ("inflight", Jsonv.Int (Atomic.get t.inflight));
-            ("searches", Jsonv.Int (Atomic.get t.searches));
-            ("recover_runs", Jsonv.Int (Atomic.get t.recover_runs));
-            ("worker_deaths", Jsonv.Int (Pool.worker_deaths t.pool));
-            ("torn_connections", Jsonv.Int (Atomic.get t.torn_connections));
-            ("connections", Jsonv.Int (Atomic.get t.connections));
-            ("active_conns", Jsonv.Int (Atomic.get t.active_conns));
-            ("max_conns", Jsonv.Int t.cfg.max_conns);
-            ("queued", Jsonv.Int (Pool.queued t.pool));
-            ("queue_hwm", Jsonv.Int (Pool.queue_hwm t.pool));
-            ("max_queue", Jsonv.Int t.cfg.max_queue);
-            ("draining", Jsonv.Bool (Atomic.get t.draining));
-            ("shed", sheds);
-            ("breaker", breaker);
-            ("snapshot", snapshot_block);
-            ("lru_size", Jsonv.Int ls.Lru.size);
-            ("lru_capacity", Jsonv.Int (Lru.capacity t.lru));
-            ("workers", Jsonv.Int (Pool.size t.pool));
-            ("uptime_s", Jsonv.Float (Fault.Clock.now () -. t.started));
-          ] );
-      ("registry", registry);
-      ( "process",
-        Jsonv.Obj
-          [
-            ("readdir_calls", Jsonv.Int (Store.readdir_calls ()));
-            ("certifications", Jsonv.Int (Analysis.Certify.certifications ()));
-            ("symbolic_proofs", Jsonv.Int (Analysis.Certify.symbolic_proofs ()));
-            ("exact_fallbacks", Jsonv.Int (Analysis.Certify.exact_fallbacks ()));
-          ] );
-    ]
+let snapshot t = Obs.to_json t.obs
 
 let handle t req =
-  Atomic.incr t.requests;
-  Atomic.incr t.inflight;
+  Obs.incr t.requests;
+  Obs.incr t.inflight;
   Fun.protect
-    ~finally:(fun () -> ignore (Atomic.fetch_and_add t.inflight (-1)))
+    ~finally:(fun () -> Obs.decr t.inflight)
     (fun () ->
       match req with
       | Protocol.Lookup key -> Protocol.Served (lookup_one t key)
@@ -565,12 +530,12 @@ let drain t =
        the straggler instead of hanging. *)
     if Fault.fire Fault.Serve_drain_hang then
       Fault.Clock.warp (t.cfg.drain_grace +. 1.);
-    while Atomic.get t.inflight > 0 && Fault.Clock.now () < deadline do
+    while Obs.get t.inflight > 0 && Fault.Clock.now () < deadline do
       Thread.yield ();
       Fault.Clock.sleep_for 0.002
     done;
     match Store.write_warmset ~root:t.cfg.root (Lru.keys t.lru) with
-    | Ok n -> Atomic.set t.snapshot_written n
+    | Ok n -> Obs.set t.snapshot_written n
     | Error _ -> ()
   end
 
@@ -594,7 +559,7 @@ let wake_accept t =
           with Unix.Unix_error _ -> ())
 
 let serve_connection t fd =
-  Atomic.incr t.connections;
+  Obs.incr t.connections;
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   let rec loop () =
@@ -617,7 +582,7 @@ let serve_connection t fd =
              sees a protocol error; nothing server-side is dirtied —
              the store write (if any) already committed under its own
              fsync-before-rename discipline, the LRU entry is whole. *)
-          Atomic.incr t.torn_connections;
+          Obs.incr t.torn_connections;
           (try
              output_string oc (String.sub wire 0 (String.length wire / 2));
              flush oc
@@ -641,13 +606,13 @@ let serve_connection t fd =
      input channel is left to the GC — its finalizer frees the buffer
      and never touches the descriptor. *)
   close_out_noerr oc;
-  ignore (Atomic.fetch_and_add t.active_conns (-1))
+  Obs.decr t.active_conns
 
 (* Over the connection budget: answer with the typed overload response
    and close — the client learns to back off; nothing is silently
    dropped. *)
 let shed_connection t fd =
-  Atomic.incr t.shed_conn_budget;
+  Obs.incr t.shed_conn_budget;
   let oc = Unix.out_channel_of_descr fd in
   (try
      output_string oc (Protocol.response_line (Protocol.Overloaded 0.5));
@@ -692,12 +657,12 @@ let run ?(on_ready = fun () -> ()) ?(handle_signals = false) t =
           | cfd, _ ->
               if Atomic.get t.stop || Atomic.get t.draining then
                 (try Unix.close cfd with Unix.Unix_error _ -> ())
-              else if Atomic.get t.active_conns >= t.cfg.max_conns then begin
+              else if Obs.get t.active_conns >= t.cfg.max_conns then begin
                 shed_connection t cfd;
                 accept_loop ()
               end
               else begin
-                Atomic.incr t.active_conns;
+                Obs.incr t.active_conns;
                 ignore (Thread.create (fun () -> serve_connection t cfd) ());
                 accept_loop ()
               end

@@ -6,8 +6,7 @@
     - {b Memory}: a bounded {!Lru} over certified entries. A warm hit
       costs a hashtable probe — zero directory scans and zero [n!]
       re-certifications, provable from the [stats] deltas of
-      {!Registry.Store.readdir_calls} and
-      {!Analysis.Certify.certifications}.
+      {!Obs.Process.readdir_calls} and {!Obs.Process.certifications}.
     - {b Disk}: the sharded {!Registry.Store}, every access serialized
       on the connection threads under one mutex (workers never touch
       the disk, exactly like [run_batch]). {!Registry.Store.recover}
@@ -87,11 +86,13 @@ val drain : t -> unit
     Idempotent; {!run} calls it on the way out. *)
 
 val snapshot : t -> Jsonv.t
-(** The [stats] response body: the [serve] block (request/cache/coalesce
-    counters, queue depth + high-water mark, shed counts by reason, the
-    breaker block with per-key state, snapshot restored/written, LRU
-    occupancy, uptime), the session's [registry] counters, and the
-    process-wide [readdir_calls] / [certifications] monotone counters. *)
+(** The [stats] response body, this server's {!Obs} group rendered: the
+    [serve] block (request/cache/coalesce counters, queue depth +
+    high-water mark, shed counts by reason, the breaker block with
+    per-key state, snapshot restored/written, LRU occupancy, uptime), the
+    session's [registry] counters ({!Registry.Store.counters}), and the
+    [process] block ({!Obs.Process}). Takes no store lock: a [stats]
+    request never waits behind a store insert. *)
 
 val run : ?on_ready:(unit -> unit) -> ?handle_signals:bool -> t -> unit
 (** Bind the socket, call [on_ready], and accept until a [Shutdown]

@@ -202,6 +202,13 @@ fi # SMOKE_ONLY=chaos guard
 if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "serve" ]; then
 
 echo "== synthesis daemon: LRU, coalescing, sharded registry =="
+# One metrics registry: every exported counter is an Obs cell, so no code
+# in lib/ or bin/ outside lib/obs hand-serializes an Atomic or keeps a
+# mutable counter field.
+if grep -rnE 'Jsonv\.Int \(Atomic\.get|mutable (hits|misses|evictions|trips|half_opens|recoveries|rejections|quarantined|inserted|lint_errors|recovered)\b' \
+    lib bin | grep -v '^lib/obs/'; then
+  echo "counter kept outside the Obs registry (see the lines above)" >&2; exit 1
+fi
 dune build bin/synth.exe
 synth="_build/default/bin/synth.exe"
 servedir="${TMPDIR:-/tmp}/sortsynth-serve-smoke"

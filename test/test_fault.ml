@@ -339,11 +339,11 @@ let test_torn_insert_invisible_after_recovery () =
   check Alcotest.int "one torn staging dir" 1 (List.length torn);
   assert (Registry.Store.lookup ~root key3 = Registry.Store.Miss);
   (* Recovery rolls it back; a clean insert then works. *)
-  let counters = Registry.Store.fresh_counters () in
+  let counters = Registry.Store.counters (Obs.create ()) in
   let rcv = Registry.Store.recover ~counters ~root () in
   check Alcotest.int "rolled back" 1 rcv.Registry.Store.rolled_back;
   check Alcotest.int "nothing requarantined" 0 rcv.Registry.Store.requarantined;
-  check Alcotest.int "counter recorded" 1 counters.Registry.Store.recovered;
+  check Alcotest.int "counter recorded" 1 (Obs.get counters.Registry.Store.recovered);
   assert (
     Array.to_list (Sys.readdir store)
     |> List.concat_map (fun n -> torn_under (Filename.concat store n))
@@ -507,13 +507,13 @@ let test_run_batch_recovers_at_open () =
   Fault.disarm ();
   let b = Registry.Scheduler.run_batch ~root ~workers:1 ~backoff:0. [ key3 ] in
   check Alcotest.int "torn dir recovered at open" 1
-    b.Registry.Scheduler.counters.Registry.Store.recovered;
+    (Obs.get b.Registry.Scheduler.counters.Registry.Store.recovered);
   (match b.Registry.Scheduler.results with
   | [ jr ] ->
       assert (jr.Registry.Scheduler.status = Registry.Scheduler.Synthesized)
   | _ -> Alcotest.fail "wrong result count");
   check Alcotest.int "reinserted" 1
-    b.Registry.Scheduler.counters.Registry.Store.inserted;
+    (Obs.get b.Registry.Scheduler.counters.Registry.Store.inserted);
   (* JSON snapshot carries the robustness fields and stays valid. *)
   let json = Registry.Scheduler.batch_json b in
   (match Jsonv.parse json with

@@ -102,17 +102,21 @@ let test_minmax_shorter_than_cmov () =
   check Alcotest.int "minmax 8" 8 mm;
   check Alcotest.int "cmov 11" 11 cmov
 
-(* The umbrella library exposes a coherent surface. *)
-let test_umbrella () =
-  (match Sortsynth.synthesize 3 with
+(* The entry points the quickstart uses: synthesize, verify, render; and
+   the min/max synthesizer's first kernel sorts. *)
+let test_entry_points () =
+  let cfg = Isa.Config.default 3 in
+  (match Search.synthesize 3 with
   | Some p ->
       assert (verify 3 p);
-      let asm = Sortsynth.to_x86 3 p in
+      let asm = Isa.Program.to_x86 cfg p in
       assert (String.length asm > 0)
-  | None -> Alcotest.fail "umbrella synthesize failed");
-  match Sortsynth.synthesize_minmax 3 with
-  | Some p -> check Alcotest.int "minmax len" 8 (Array.length p)
-  | None -> Alcotest.fail "umbrella minmax failed"
+  | None -> Alcotest.fail "synthesize failed");
+  match (Minmax.synthesize 3).Minmax.programs with
+  | p :: _ ->
+      assert (Minmax.Vexec.sorts_all_permutations cfg p);
+      check Alcotest.int "minmax len" 8 (Array.length p)
+  | [] -> Alcotest.fail "minmax synthesize failed"
 
 (* Determinism: two runs of the same search produce identical results. *)
 let test_search_deterministic () =
@@ -147,7 +151,7 @@ let () =
             test_kernel_through_workloads;
           Alcotest.test_case "cost model ranking" `Quick test_cost_model_ranks_kernels;
           Alcotest.test_case "stoke -> perf" `Slow test_stoke_to_perf_pipeline;
-          Alcotest.test_case "umbrella API" `Quick test_umbrella;
+          Alcotest.test_case "entry points" `Quick test_entry_points;
           Alcotest.test_case "determinism" `Quick test_search_deterministic;
         ] );
     ]

@@ -106,7 +106,7 @@ let synth_result key = (Registry.Scheduler.run_key key).Registry.Scheduler.resul
 
 let test_store_roundtrip () =
   let root = fresh_root () in
-  let counters = Registry.Store.fresh_counters () in
+  let counters = Registry.Store.counters (Obs.create ()) in
   check Alcotest.bool "initial miss" true
     (Registry.Store.lookup ~counters ~root key3 = Registry.Store.Miss);
   let r = synth_result key3 in
@@ -125,13 +125,13 @@ let test_store_roundtrip () =
         e.Registry.Store.solution_count;
       assert (e.Registry.Store.predicted_cost > 0.)
   | _ -> Alcotest.fail "expected hit");
-  check Alcotest.int "hits" 1 counters.Registry.Store.hits;
-  check Alcotest.int "misses" 1 counters.Registry.Store.misses;
-  check Alcotest.int "inserted" 1 counters.Registry.Store.inserted;
-  check Alcotest.int "quarantined" 0 counters.Registry.Store.quarantined;
-  (match Jsonv.parse (Jsonv.to_string (Registry.Store.counters_json counters)) with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail m);
+  check Alcotest.int "hits" 1 (Obs.get counters.Registry.Store.hits);
+  check Alcotest.int "misses" 1 (Obs.get counters.Registry.Store.misses);
+  check Alcotest.int "inserted" 1 (Obs.get counters.Registry.Store.inserted);
+  check Alcotest.int "quarantined" 0 (Obs.get counters.Registry.Store.quarantined);
+  check Alcotest.string "registry block"
+    {|{"hits":1,"misses":1,"quarantined":0,"inserted":1,"lint_errors":0,"recovered":0}|}
+    (Jsonv.to_string (Obs.to_json counters.Registry.Store.group));
   (* A key differing only in an option must miss. *)
   let other = Registry.Key.make ~heuristic:Search.No_heuristic 3 in
   assert (Registry.Store.lookup ~root other = Registry.Store.Miss)
@@ -144,7 +144,7 @@ let corrupt_kernel ~root key text =
 
 let test_store_quarantine () =
   let root = fresh_root () in
-  let counters = Registry.Store.fresh_counters () in
+  let counters = Registry.Store.counters (Obs.create ()) in
   (match Registry.Store.insert ~root key2 (synth_result key2) with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
@@ -158,7 +158,7 @@ let test_store_quarantine () =
         (String.length reason > 0)
   | Registry.Store.Hit _ -> Alcotest.fail "served a corrupted kernel"
   | Registry.Store.Miss -> Alcotest.fail "corrupted entry vanished");
-  check Alcotest.int "quarantined counter" 1 counters.Registry.Store.quarantined;
+  check Alcotest.int "quarantined counter" 1 (Obs.get counters.Registry.Store.quarantined);
   check Alcotest.int "quarantine dir" 1 (Registry.Store.quarantine_count ~root);
   (* The bad entry was moved aside: the key now misses and can be
      repopulated. *)
@@ -213,7 +213,7 @@ let test_store_lint_quarantine () =
   | [ (_, Ok e) ] -> check Alcotest.int "padded length" 5 e.Registry.Store.length
   | _ -> Alcotest.fail "expected one certified entry");
   (* The lint sweep quarantines it and says why. *)
-  let counters = Registry.Store.fresh_counters () in
+  let counters = Registry.Store.counters (Obs.create ()) in
   (match Registry.Store.verify_all ~counters ~lint:true ~root () with
   | [ (_, Error reason) ] ->
       let contains sub =
@@ -226,9 +226,9 @@ let test_store_lint_quarantine () =
       check Alcotest.bool "reason names the rule" true (contains "dead-write")
   | _ -> Alcotest.fail "lint sweep should quarantine the padded entry");
   check Alcotest.int "lint_errors counter" 1
-    counters.Registry.Store.lint_errors;
+    (Obs.get counters.Registry.Store.lint_errors);
   check Alcotest.int "quarantined counter" 1
-    counters.Registry.Store.quarantined;
+    (Obs.get counters.Registry.Store.quarantined);
   check Alcotest.int "quarantine dir" 1 (Registry.Store.quarantine_count ~root);
   (* Quarantined means gone: the key misses and can be re-synthesized. *)
   assert (Registry.Store.lookup ~root key2 = Registry.Store.Miss)
@@ -307,9 +307,9 @@ let test_batch_matches_sequential () =
       | None -> Alcotest.fail "batch job lost its program")
     jobs b.Registry.Scheduler.results;
   check Alcotest.int "all were misses" (List.length jobs)
-    b.Registry.Scheduler.counters.Registry.Store.misses;
+    (Obs.get b.Registry.Scheduler.counters.Registry.Store.misses);
   check Alcotest.int "all inserted" (List.length jobs)
-    b.Registry.Scheduler.counters.Registry.Store.inserted;
+    (Obs.get b.Registry.Scheduler.counters.Registry.Store.inserted);
   (* Second run over the same registry: everything served from the store,
      with the same kernels. *)
   let b2 = Registry.Scheduler.run_batch ~root ~workers:3 jobs in
@@ -320,9 +320,25 @@ let test_batch_matches_sequential () =
         r1.Registry.Scheduler.program = r2.Registry.Scheduler.program))
     b.Registry.Scheduler.results b2.Registry.Scheduler.results;
   check Alcotest.int "all hits" (List.length jobs)
-    b2.Registry.Scheduler.counters.Registry.Store.hits;
+    (Obs.get b2.Registry.Scheduler.counters.Registry.Store.hits);
   match Jsonv.parse (Registry.Scheduler.batch_json b2) with
-  | Ok _ -> ()
+  | Ok j -> (
+      (* The registry block's keys in a fixed order, with this batch's
+         values: operators diff these documents. *)
+      match Jsonv.member "registry" j with
+      | Some (Jsonv.Obj fields) ->
+          check
+            Alcotest.(list (pair string int))
+            "registry block"
+            [
+              ("hits", List.length jobs); ("misses", 0); ("quarantined", 0);
+              ("inserted", 0); ("lint_errors", 0); ("recovered", 0);
+            ]
+            (List.map
+               (fun (k, v) ->
+                 (k, match v with Jsonv.Int n -> n | _ -> Alcotest.fail k))
+               fields)
+      | _ -> Alcotest.fail "batch JSON lacks a registry object")
   | Error m -> Alcotest.fail ("batch JSON invalid: " ^ m)
 
 let test_batch_timeout_and_failure () =
@@ -349,7 +365,7 @@ let test_batch_timeout_and_failure () =
       | _ -> Alcotest.fail "expected failure")
   | _ -> Alcotest.fail "expected one result");
   check Alcotest.int "nothing stored" 0
-    b.Registry.Scheduler.counters.Registry.Store.inserted
+    (Obs.get b.Registry.Scheduler.counters.Registry.Store.inserted)
 
 (* A search that completes without a kernel is still a completed search:
    its statistics must reach the caller (batch JSON "expanded", the

@@ -62,6 +62,14 @@ let serve_nested snapshot path =
   in
   go snapshot path
 
+(* An LRU whose counters live in a fresh group. *)
+let lru ~capacity =
+  let g = Obs.create () in
+  let hits = Obs.counter g "hits" in
+  let misses = Obs.counter g "misses" in
+  let evictions = Obs.counter g "evictions" in
+  (Serve.Lru.create ~capacity ~hits ~misses ~evictions, g)
+
 let install_plan spec =
   match Fault.plan_of_string spec with
   | Ok plan -> Fault.install plan
@@ -73,7 +81,7 @@ let install_plan spec =
 let test_lru_basics () =
   let root = fresh_root () in
   let e = make_entry root key2 in
-  let l = Serve.Lru.create ~capacity:2 in
+  let l, counters = lru ~capacity:2 in
   check Alcotest.(option reject) "empty miss" None
     (Option.map ignore (Serve.Lru.find l "a"));
   Serve.Lru.add l "a" e;
@@ -86,20 +94,19 @@ let test_lru_basics () =
   Serve.Lru.add l "c" e;
   check Alcotest.(list string) "evicted lru" [ "c"; "a" ] (Serve.Lru.contents l);
   check Alcotest.bool "b gone" true (Serve.Lru.find l "b" = None);
-  let s = Serve.Lru.stats l in
-  check Alcotest.int "evictions" 1 s.Serve.Lru.evictions;
-  check Alcotest.int "hits" 1 s.Serve.Lru.hits;
-  (* 1 empty probe + 1 post-eviction probe. *)
-  check Alcotest.int "misses" 2 s.Serve.Lru.misses;
+  (* 1 hit; 1 empty probe + 1 post-eviction probe; 1 eviction. *)
+  check Alcotest.string "counters" {|{"hits":1,"misses":2,"evictions":1}|}
+    (Jsonv.to_string (Obs.to_json counters));
   (* Re-adding an existing key replaces in place, no eviction. *)
   Serve.Lru.add l "a" e;
   check Alcotest.int "still 2" 2 (Serve.Lru.length l);
-  check Alcotest.int "no new eviction" 1 (Serve.Lru.stats l).Serve.Lru.evictions
+  check Alcotest.string "no new eviction" {|{"hits":1,"misses":2,"evictions":1}|}
+    (Jsonv.to_string (Obs.to_json counters))
 
 let test_lru_capacity_zero () =
   let root = fresh_root () in
   let e = make_entry root key2 in
-  let l = Serve.Lru.create ~capacity:0 in
+  let l, _ = lru ~capacity:0 in
   Serve.Lru.add l "a" e;
   check Alcotest.int "disabled cache stays empty" 0 (Serve.Lru.length l);
   check Alcotest.bool "no hit" true (Serve.Lru.find l "a" = None)
@@ -115,15 +122,15 @@ let test_lru_certified_at_admission () =
   let cold = served_exn (Serve.Server.handle srv (Serve.Protocol.Lookup key2)) in
   check Alcotest.string "cold from disk" "disk"
     (Option.value ~default:"?" cold.Serve.Protocol.source);
-  let readdir0 = Registry.Store.readdir_calls () in
-  let certs0 = Analysis.Certify.certifications () in
+  let readdir0 = Obs.get Obs.Process.readdir_calls in
+  let certs0 = Obs.get Obs.Process.certifications in
   let warm = served_exn (Serve.Server.handle srv (Serve.Protocol.Lookup key2)) in
   check Alcotest.string "warm from memory" "memory"
     (Option.value ~default:"?" warm.Serve.Protocol.source);
   check Alcotest.int "zero directory scans on a warm hit" 0
-    (Registry.Store.readdir_calls () - readdir0);
+    (Obs.get Obs.Process.readdir_calls - readdir0);
   check Alcotest.int "zero re-certifications on a warm hit" 0
-    (Analysis.Certify.certifications () - certs0);
+    (Obs.get Obs.Process.certifications - certs0);
   check
     Alcotest.(option string)
     "same kernel text" cold.Serve.Protocol.kernel warm.Serve.Protocol.kernel
@@ -223,8 +230,10 @@ let test_protocol_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Pool.                                                               *)
 
+let deaths () = Obs.counter (Obs.create ()) "worker_deaths"
+
 let test_pool_runs_and_survives_exceptions () =
-  let pool = Serve.Pool.create ~workers:2 () in
+  let pool = Serve.Pool.create ~workers:2 ~deaths:(deaths ()) () in
   Fun.protect ~finally:(fun () -> Serve.Pool.shutdown pool) @@ fun () ->
   (match Serve.Pool.run pool (fun () -> 6 * 7) with
   | Ok v -> check Alcotest.int "result" 42 v
@@ -241,13 +250,14 @@ let test_pool_runs_and_survives_exceptions () =
 let test_pool_worker_death_isolated () =
   install_plan "seed=7;serve.worker_death=nth:1";
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let pool = Serve.Pool.create ~workers:1 () in
+  let deaths = deaths () in
+  let pool = Serve.Pool.create ~workers:1 ~deaths () in
   Fun.protect ~finally:(fun () -> Serve.Pool.shutdown pool) @@ fun () ->
   (match Serve.Pool.run pool (fun () -> 1) with
   | Error Serve.Pool.Worker_died -> ()
   | Ok _ -> Alcotest.fail "death site did not fire"
   | Error e -> Alcotest.fail (Printexc.to_string e));
-  check Alcotest.int "death counted" 1 (Serve.Pool.worker_deaths pool);
+  check Alcotest.int "death counted" 1 (Obs.get deaths);
   (* nth:1 fired once; the single worker keeps serving afterwards. *)
   match Serve.Pool.run pool (fun () -> 2) with
   | Ok 2 -> ()
@@ -257,7 +267,7 @@ let test_pool_worker_death_isolated () =
    third submission must be refused immediately with Queue_full — bounded
    waiting, never an unbounded backlog. *)
 let test_pool_bounded_queue () =
-  let pool = Serve.Pool.create ~max_queue:1 ~workers:1 () in
+  let pool = Serve.Pool.create ~max_queue:1 ~workers:1 ~deaths:(deaths ()) () in
   Fun.protect ~finally:(fun () -> Serve.Pool.shutdown pool) @@ fun () ->
   let gate = Mutex.create () in
   Mutex.lock gate;
@@ -304,7 +314,7 @@ let test_pool_bounded_queue () =
 let test_pool_queue_stall_sheds_expired () =
   install_plan "seed=2;serve.queue_stall=nth:1";
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let pool = Serve.Pool.create ~workers:1 () in
+  let pool = Serve.Pool.create ~workers:1 ~deaths:(deaths ()) () in
   Fun.protect ~finally:(fun () -> Serve.Pool.shutdown pool) @@ fun () ->
   let ran = ref false in
   let deadline = Fault.Clock.now () +. (Serve.Pool.queue_stall_warp /. 2.) in
@@ -322,7 +332,8 @@ let test_pool_queue_stall_sheds_expired () =
 (* Breaker: the full state machine on the warped clock.                *)
 
 let test_breaker_state_machine () =
-  let b = Serve.Breaker.create ~threshold:2 ~cooldown:10.0 in
+  let stats = Obs.create () in
+  let b = Serve.Breaker.create ~threshold:2 ~cooldown:10.0 stats in
   let k = "n=9" in
   let admit () = Serve.Breaker.admit b k in
   (match admit () with
@@ -368,18 +379,16 @@ let test_breaker_state_machine () =
   check
     Alcotest.(list (triple string string int))
     "forgotten after recovery" [] (Serve.Breaker.tracked b);
-  let c = Serve.Breaker.counters b in
-  check Alcotest.int "trips" 2 c.Serve.Breaker.trips;
-  check Alcotest.int "half_opens" 2 c.Serve.Breaker.half_opens;
-  check Alcotest.int "recoveries" 1 c.Serve.Breaker.recoveries;
-  check Alcotest.int "rejections" 3 c.Serve.Breaker.rejections
+  check Alcotest.string "stats block"
+    {|{"threshold":2,"cooldown_s":10.0,"trips":2,"half_opens":2,"recoveries":1,"rejections":3,"keys":[]}|}
+    (Jsonv.to_string (Obs.to_json stats))
 
 (* Regression: a half-open probe that exits without a verdict — shed at
    the queue, expired while queued, drained, or lost to an unrelated
    error — must not leave the key Half_open forever. [abort] returns it
    to Open with a fresh cooldown, after which a new probe is admitted. *)
 let test_breaker_abort_releases_probe () =
-  let b = Serve.Breaker.create ~threshold:1 ~cooldown:10.0 in
+  let b = Serve.Breaker.create ~threshold:1 ~cooldown:10.0 (Obs.create ()) in
   let k = "n=5" in
   Serve.Breaker.failure b k;
   Fault.Clock.warp 11.0;
@@ -709,15 +718,15 @@ let test_drain_persists_and_restores () =
     (serve_nested (Serve.Server.snapshot srv2)
        [ "serve"; "snapshot"; "restored" ]);
   (* ...and the very first request is a memory hit. *)
-  let readdir0 = Registry.Store.readdir_calls () in
-  let certs0 = Analysis.Certify.certifications () in
+  let readdir0 = Obs.get Obs.Process.readdir_calls in
+  let certs0 = Obs.get Obs.Process.certifications in
   let s = served_exn (Serve.Server.handle srv2 (Serve.Protocol.Lookup key2)) in
   check Alcotest.string "warm from the restored set" "memory"
     (Option.value ~default:"?" s.Serve.Protocol.source);
   check Alcotest.int "zero directory scans" 0
-    (Registry.Store.readdir_calls () - readdir0);
+    (Obs.get Obs.Process.readdir_calls - readdir0);
   check Alcotest.int "zero re-certifications" 0
-    (Analysis.Certify.certifications () - certs0)
+    (Obs.get Obs.Process.certifications - certs0)
 
 (* Zero trust in the snapshot file: hand-tampered bytes mean a cold
    start, never a crash and never uncertified serving. *)
@@ -807,9 +816,23 @@ let test_drain_hang_abandons_stragglers () =
 (* ------------------------------------------------------------------ *)
 (* Stats schema and batch fan-out.                                     *)
 
+(* The keys of the object at [path], in document order. *)
+let keys_at snapshot path =
+  let rec go j = function
+    | [] -> (
+        match j with
+        | Jsonv.Obj fields -> List.map fst fields
+        | _ -> Alcotest.fail ("stats: not an object at " ^ String.concat "." path))
+    | name :: rest -> (
+        match Jsonv.member name j with
+        | Some v -> go v rest
+        | None -> Alcotest.fail ("stats: missing " ^ String.concat "." path))
+  in
+  go snapshot path
+
 (* The serve block is one JSON value the repo's own validator accepts,
    with every overload/breaker/snapshot field the operators' tooling
-   keys on. *)
+   keys on, in a fixed order: operators diff these documents. *)
 let test_stats_schema () =
   let root = fresh_root () in
   let srv = Serve.Server.create (default_config root "unused.sock") in
@@ -819,6 +842,30 @@ let test_stats_schema () =
   (match Jsonv.parse (Jsonv.to_string snap) with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail ("stats snapshot not valid JSON: " ^ msg));
+  List.iter
+    (fun (path, keys) ->
+      check Alcotest.(list string) (String.concat "." ("stats" :: path) ^ " keys")
+        keys (keys_at snap path))
+    [
+      ([], [ "serve"; "registry"; "process" ]);
+      ( [ "serve" ],
+        [
+          "requests"; "cache_hits"; "cache_misses"; "coalesced"; "evictions";
+          "inflight"; "searches"; "recover_runs"; "worker_deaths";
+          "torn_connections"; "connections"; "active_conns"; "max_conns";
+          "queued"; "queue_hwm"; "max_queue"; "draining"; "shed"; "breaker";
+          "snapshot"; "lru_size"; "lru_capacity"; "workers"; "uptime_s";
+        ] );
+      ( [ "serve"; "shed" ],
+        [ "queue_full"; "deadline_expired"; "circuit_open"; "conn_budget"; "draining" ] );
+      ( [ "serve"; "breaker" ],
+        [ "threshold"; "cooldown_s"; "trips"; "half_opens"; "recoveries"; "rejections"; "keys" ] );
+      ([ "serve"; "snapshot" ], [ "restored"; "written" ]);
+      ( [ "registry" ],
+        [ "hits"; "misses"; "quarantined"; "inserted"; "lint_errors"; "recovered" ] );
+      ( [ "process" ],
+        [ "readdir_calls"; "certifications"; "symbolic_proofs"; "exact_fallbacks" ] );
+    ];
   List.iter
     (fun name -> ignore (serve_counter snap name))
     [
@@ -853,6 +900,61 @@ let test_stats_schema () =
   with
   | Some (Jsonv.Arr _) -> ()
   | _ -> Alcotest.fail "stats: missing serve.breaker.keys array"
+
+(* Overload burst: 12 distinct searches race for 1 worker and 1 queue
+   slot. Distinct cut factors make distinct keys, so nothing coalesces
+   and admission does all the work. Every reply carries a typed status,
+   and every shed reply is counted once under serve.shed. *)
+let test_overload_burst () =
+  let root = fresh_root () in
+  let srv =
+    Serve.Server.create
+      { (default_config root "unused.sock") with workers = 1; max_queue = 1 }
+  in
+  Fun.protect ~finally:(fun () -> Serve.Server.destroy srv) @@ fun () ->
+  let shed_total () =
+    let snap = Serve.Server.snapshot srv in
+    List.fold_left
+      (fun acc reason -> acc + serve_nested snap [ "serve"; "shed"; reason ])
+      0
+      (keys_at snap [ "serve"; "shed" ])
+  in
+  let shed0 = shed_total () in
+  let keys =
+    List.init 12 (fun i ->
+        Registry.Key.make
+          ~cut:(Registry.Key.cut_of_factor (1.0 +. (0.01 *. float_of_int i)))
+          3)
+  in
+  let statuses = Array.make (List.length keys) "" in
+  List.mapi
+    (fun i k ->
+      Thread.create
+        (fun () ->
+          statuses.(i) <-
+            (match Serve.Server.handle srv (synth_req k) with
+            | Serve.Protocol.Served s -> s.Serve.Protocol.status
+            | _ -> "not a served response"))
+        ())
+    keys
+  |> List.iter Thread.join;
+  let typed =
+    [
+      "cached"; "synthesized"; "timed_out"; "exhausted"; "crashed"; "failed";
+      "miss"; "overloaded"; "circuit_open";
+    ]
+  in
+  Array.iter
+    (fun s ->
+      if not (List.mem s typed) then Alcotest.failf "untyped reply %S" s)
+    statuses;
+  let shed_replies =
+    Array.fold_left
+      (fun n s -> if s = "overloaded" || s = "circuit_open" then n + 1 else n)
+      0 statuses
+  in
+  check Alcotest.int "shed replies = serve.shed deltas" shed_replies
+    (shed_total () - shed0)
 
 (* Server-side batch fan-out: one Batch request spreads across the pool,
    answers come back in input order, duplicates coalesce or hit the
@@ -1139,6 +1241,7 @@ let () =
           Alcotest.test_case "deadline expired before dispatch" `Quick
             test_deadline_expired_before_dispatch;
           Alcotest.test_case "stats schema" `Quick test_stats_schema;
+          Alcotest.test_case "overload burst" `Quick test_overload_burst;
           Alcotest.test_case "batch fan-out" `Slow test_batch_fanout;
           Alcotest.test_case "batch fan-out isolates worker death" `Quick
             test_batch_fanout_isolates_worker_death;

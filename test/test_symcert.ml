@@ -140,13 +140,13 @@ let test_zeroone_gap_kernel_not_proved () =
       | Analysis.Symcert.Unknown _ -> ()
       | Analysis.Symcert.Refuted _ -> assert_refutation_confirmed cfg p v);
       (* And the proof module rejects it without running the fallback. *)
-      let fb0 = Analysis.Certify.exact_fallbacks () in
+      let fb0 = Obs.get Obs.Process.exact_fallbacks in
       (match Analysis.Certify.sorts cfg p with
       | Ok () -> Alcotest.fail "Certify.sorts accepted the gap kernel"
       | Error msg ->
           if not (String.length msg > 0) then Alcotest.fail "empty error");
       check Alcotest.int "no fallback needed to refute" fb0
-        (Analysis.Certify.exact_fallbacks ())
+        (Obs.get Obs.Process.exact_fallbacks)
 
 (* ------------------------------------------------------------------ *)
 (* Soundness gate: randomized programs, n = 2..5.                      *)
@@ -221,8 +221,7 @@ let qcheck_agrees_with_absint =
 (* The proof module's counters.                                        *)
 
 let counters () =
-  Analysis.Certify.
-    (symbolic_proofs (), exact_fallbacks (), certifications ())
+  Obs.(get Process.symbolic_proofs, get Process.exact_fallbacks, get Process.certifications)
 
 let test_counters_and_fast_path () =
   let cfg = Isa.Config.default 3 in
@@ -267,9 +266,9 @@ let test_verify_certify_fast_skips_enumeration () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "certify_fast rejected sort3: %s" e);
   check Alcotest.int "no exact certification ran" exact0
-    (Analysis.Certify.certifications ());
+    (Obs.get Obs.Process.certifications);
   check Alcotest.int "proved symbolically" (sp0 + 1)
-    (Analysis.Certify.symbolic_proofs ())
+    (Obs.get Obs.Process.symbolic_proofs)
 
 (* Linting, DCE and the optimizer all certify through the proof module,
    so each one is visible in its counters. *)
@@ -277,9 +276,9 @@ let test_every_caller_counts () =
   let cfg = Isa.Config.default 3 in
   let p = parse cfg sort3 in
   let moves what f =
-    let sp0 = Analysis.Certify.symbolic_proofs () in
+    let sp0 = Obs.get Obs.Process.symbolic_proofs in
     f ();
-    if Analysis.Certify.symbolic_proofs () <= sp0 then
+    if Obs.get Obs.Process.symbolic_proofs <= sp0 then
       Alcotest.failf "%s did not move symbolic_proofs" what
   in
   moves "lint" (fun () -> ignore (Analysis.Lint.check_all cfg p));
