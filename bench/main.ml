@@ -229,288 +229,105 @@ let benchmark () =
   Analyze.merge ols instances results
 
 (* ------------------------------------------------------------------ *)
-(* Search micro-benchmarks: the per-PR perf trajectory (BENCH_search.json).
+(* Search fingerprint (BENCH_search.json).
 
-   `--bench-search [FILE]` measures states/sec and time-to-optimal for the
-   n = 3, 4, 5 searches and appends one history entry to FILE (creating it
-   if absent); `--check BASELINE` additionally compares the fresh
-   measurement against the last committed entry and exits non-zero on a
-   states/sec regression beyond the tolerance (default 20%). The n = 3 and
-   n = 4 rows are the paper's best-config find-first synthesis (the
-   optimality artifact is the kernel); the n = 5 row is a bounded
-   level-synchronous sweep whose artifact is a lower-bound certificate
-   ("no kernel of length <= depth"), since a full n = 5 optimal search is a
-   minutes-to-hours job (PAPER.md section 6). *)
+   `--bench-search` runs each row below once and prints only what does not
+   depend on the host: the search counters, the optimal length, the
+   solution count and whether that length is proved minimal. The first
+   line is the schema tag, then one JSON object per row, so a diff against
+   the committed file names the row that drifted. `dune build
+   @bench/bench-search` is that diff and `dune promote` accepts an
+   intentional change. Timings go to stderr for information only; speed is
+   judged by same-host A/B runs of perfbench's n4-level-iii workload.
 
-type bench_row = {
-  bench : string;
-  bn : int;
-  states_per_sec : float;
-  time_to_optimal_s : float;
-  generated : int;
-  expanded : int;
-  optimal_length : int option;
-}
+   The level rows are the paper's configuration (III); n4-level-iii is its
+   headline, the proved-optimal length-20 n = 4 kernel, and its counters
+   do not depend on the number of domains. The n = 5 row is a bounded
+   level sweep whose artifact is a lower bound ("no kernel of length <=
+   4"), since a full n = 5 optimal search is a minutes-to-hours job
+   (PAPER.md section 6). *)
 
-let n5_sweep_depth = 4
+let level_iii = { Search.best with Search.engine = Search.Level_sync }
 
-let bench_search_specs =
+let fingerprint_rows =
+  let cfg = Isa.Config.default in
   [
-    ( "n3-best-astar",
-      3,
-      fun () -> Search.run ~opts:Search.best (Isa.Config.default 3) );
-    ( "n4-best-astar",
-      4,
-      fun () -> Search.run ~opts:Search.best (Isa.Config.default 4) );
+    ("n3-best-astar", Search.best, fun opts -> Search.run ~opts (cfg 3));
+    ("n3-level-iii", level_iii, fun opts -> Search.run ~opts (cfg 3));
+    ("n4-best-astar", Search.best, fun opts -> Search.run ~opts (cfg 4));
     ( "n4-symcert-final",
-      4,
-      fun () ->
-        (* Same search as n4-best-astar plus the symbolic sortedness
-           certifier as the final-state acceptance check: the row prices
-           the per-solution certification overhead against its twin. The
-           check accepts unless the certifier refutes (Unknown defers to
-           the packed probe, which is exact), so the artifact is
-           unchanged. *)
-        let cfg = Isa.Config.default 4 in
-        let check p =
-          match Analysis.Symcert.certify cfg p with
-          | Analysis.Symcert.Refuted _ -> false
-          | Analysis.Symcert.Proved | Analysis.Symcert.Unknown _ -> true
-        in
-        let opts = { Search.best with Search.final_check = Some check } in
-        Search.run ~opts cfg );
+      (* n4-best-astar with the symbolic certifier as the final-state
+         acceptance check. It accepts unless the certifier refutes
+         (Unknown defers to the packed probe, which is exact), so every
+         final passes and the row must equal its twin. *)
+      (let check p =
+         match Analysis.Symcert.certify (cfg 4) p with
+         | Analysis.Symcert.Refuted _ -> false
+         | Analysis.Symcert.Proved | Analysis.Symcert.Unknown _ -> true
+       in
+       { Search.best with Search.final_check = Some check }),
+      fun opts -> Search.run ~opts (cfg 4) );
+    ( "n4-level-iii",
+      level_iii,
+      fun opts -> Search.run_parallel ~opts ~domains:2 (cfg 4) );
     ( "n5-bounded-level",
-      5,
-      fun () ->
-        (* Lower-bound sweep: exhaust every program of length <= depth
-           (only the optimality-safe erasure check prunes), certifying
-           "no n=5 kernel of length <= depth". A full n=5 optimal search
-           is a minutes-to-hours job, so this is the n=5 row's
-           deterministic, CI-sized stand-in — and its 120-code states
-           make it the most representation-sensitive of the three. *)
-        let opts =
-          {
-            Search.default with
-            Search.engine = Search.Level_sync;
-            dist_viability = false;
-            cut = Search.No_cut;
-          }
-        in
-        Search.run_mode ~opts ~mode:(Search.Prove_none n5_sweep_depth)
-          (Isa.Config.default 5) );
+      (* Exhaust every program of length <= 4; only the optimality-safe
+         erasure check prunes. *)
+      {
+        Search.default with
+        Search.engine = Search.Level_sync;
+        dist_viability = false;
+        cut = Search.No_cut;
+      },
+      fun opts ->
+        Search.run_mode ~opts ~mode:(Search.Prove_none 4) (cfg 5) );
   ]
 
-let bench_repeats () =
-  match Sys.getenv_opt "BENCH_REPEATS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 3)
-  | None -> 3
-
-let run_bench_row (bench, bn, runit) =
-  (* Warm the process-wide distance cache so the first repeat is not
-     charged for table precomputation the others skip. *)
-  ignore (Distance.compute_cached (Isa.Config.default bn));
-  let best = ref None in
-  for _ = 1 to bench_repeats () do
-    let r = runit () in
-    let s = r.Search.stats in
-    let sps =
-      if s.Search.elapsed > 0. then
-        float_of_int s.Search.generated /. s.Search.elapsed
-      else 0.
-    in
-    match !best with
-    | Some (b, _) when b.states_per_sec >= sps -> ()
-    | _ ->
-        best :=
-          Some
-            ( {
-                bench;
-                bn;
-                states_per_sec = sps;
-                time_to_optimal_s = s.Search.elapsed;
-                generated = s.Search.generated;
-                expanded = s.Search.expanded;
-                optimal_length = r.Search.optimal_length;
-              },
-              r )
-  done;
-  match !best with Some (b, _) -> b | None -> assert false
-
-let bench_row_json b =
-  Jsonv.Obj
+(* The host-independent facts of one run, without the row's name. *)
+let fingerprint (opts : Search.options) (r : Search.result) =
+  let s = r.Search.stats in
+  Jsonv.
     [
-      ("bench", Jsonv.Str b.bench);
-      ("n", Jsonv.Int b.bn);
-      ("states_per_sec", Jsonv.Float b.states_per_sec);
-      ("time_to_optimal_s", Jsonv.Float b.time_to_optimal_s);
-      ("generated", Jsonv.Int b.generated);
-      ("expanded", Jsonv.Int b.expanded);
+      ("expanded", Int s.Search.expanded);
+      ("generated", Int s.Search.generated);
+      ("deduped", Int s.Search.deduped);
+      ("pruned_cut", Int s.Search.pruned_cut);
+      ("pruned_viability", Int s.Search.pruned_viability);
+      ("pruned_bound", Int s.Search.pruned_bound);
       ( "optimal_length",
-        match b.optimal_length with
-        | Some l -> Jsonv.Int l
-        | None -> Jsonv.Null );
+        match r.Search.optimal_length with Some l -> Int l | None -> Null );
+      ("solution_count", Int r.Search.solution_count);
+      ( "proved_optimal",
+        Bool
+          (opts.Search.engine = Search.Level_sync
+          && r.Search.optimal_length <> None) );
     ]
 
-let bench_entry_json ~rev rows =
-  Jsonv.Obj
-    [
-      ("rev", Jsonv.Str rev);
-      ("n5_sweep_depth", Jsonv.Int n5_sweep_depth);
-      ("entries", Jsonv.Arr (List.map bench_row_json rows));
-    ]
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* The committed trajectory: { "schema": ..., "history": [entry; ...] }. *)
-let load_history path =
-  if not (Sys.file_exists path) then Ok []
-  else
-    match Jsonv.parse (read_file path) with
-    | Error e -> Error (Printf.sprintf "%s: %s" path e)
-    | Ok j -> (
-        match Jsonv.member "history" j with
-        | Some (Jsonv.Arr h) -> Ok h
-        | _ -> Error (Printf.sprintf "%s: no \"history\" array" path))
-
-let row_of_json j =
-  let str k = Jsonv.(member k j |> Option.map to_str) in
-  let num k =
-    match Jsonv.member k j with
-    | Some v -> (
-        match Jsonv.to_float v with Ok f -> Some f | Error _ -> None)
-    | None -> None
+let bench_search () =
+  let print_obj fields = print_endline (Jsonv.to_string (Jsonv.Obj fields)) in
+  print_obj [ ("schema", Jsonv.Str "sortsynth-bench-search/v2") ];
+  Printf.eprintf "%-18s %10s %12s %15s\n%!" "bench" "seconds" "generated"
+    "states/sec";
+  let rows =
+    List.map
+      (fun (name, opts, run) ->
+        let r = run opts in
+        let s = r.Search.stats in
+        Printf.eprintf "%-18s %10.3f %12d %15.0f\n%!" name s.Search.elapsed
+          s.Search.generated
+          (float_of_int s.Search.generated /. Float.max s.Search.elapsed 1e-9);
+        let facts = fingerprint opts r in
+        print_obj (("bench", Jsonv.Str name) :: facts);
+        (name, facts))
+      fingerprint_rows
   in
-  match (str "bench", num "states_per_sec") with
-  | Some (Ok bench), Some sps -> Some (bench, sps)
-  | _ -> None
-
-let last_entry_rows = function
-  | [] -> []
-  | history -> (
-      match List.nth history (List.length history - 1) with
-      | Jsonv.Obj _ as e -> (
-          match Jsonv.member "entries" e with
-          | Some (Jsonv.Arr rows) -> List.filter_map row_of_json rows
-          | _ -> [])
-      | _ -> [])
-
-let bench_search ~out ~rev ~check ~tolerance =
-  let rows = List.map run_bench_row bench_search_specs in
-  Printf.printf "%-18s %3s %15s %12s %10s %8s\n" "bench" "n" "states/sec"
-    "t-optimal s" "generated" "length";
-  List.iter
-    (fun b ->
-      Printf.printf "%-18s %3d %15.0f %12.4f %10d %8s\n" b.bench b.bn
-        b.states_per_sec b.time_to_optimal_s b.generated
-        (match b.optimal_length with
-        | Some l -> string_of_int l
-        | None -> "-"))
-    rows;
-  (* Sanity: the synthesis rows must land the known optima. *)
-  List.iter
-    (fun b ->
-      match (b.bench, b.optimal_length) with
-      | "n3-best-astar", l when l <> Some 11 ->
-          prerr_endline "n=3 bench did not find the optimal length 11";
-          exit 1
-      | _ -> ())
-    rows;
-  let regressions =
-    match check with
-    | None -> []
-    | Some baseline -> (
-        match load_history baseline with
-        | Error e ->
-            Printf.eprintf "bench baseline unreadable: %s\n" e;
-            exit 1
-        | Ok history ->
-            let old = last_entry_rows history in
-            if old = [] then begin
-              Printf.eprintf "bench baseline %s has no entries\n" baseline;
-              exit 1
-            end;
-            List.filter_map
-              (fun b ->
-                match List.assoc_opt b.bench old with
-                | Some old_sps
-                  when b.states_per_sec < (1. -. tolerance) *. old_sps ->
-                    Some (b.bench, old_sps, b.states_per_sec)
-                | _ -> None)
-              rows)
-  in
-  List.iter
-    (fun (bench, old_sps, new_sps) ->
-      Printf.eprintf
-        "REGRESSION %s: %.0f -> %.0f states/sec (%.0f%% of baseline, \
-         tolerance %.0f%%)\n"
-        bench old_sps new_sps
-        (100. *. new_sps /. old_sps)
-        (100. *. (1. -. tolerance)))
-    regressions;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let history =
-        match load_history path with
-        | Ok h -> h
-        | Error e ->
-            Printf.eprintf "cannot append to %s: %s\n" path e;
-            exit 1
-      in
-      let json =
-        Jsonv.Obj
-          [
-            ("schema", Jsonv.Str "sortsynth-bench-search/v1");
-            ( "history",
-              Jsonv.Arr (history @ [ bench_entry_json ~rev rows ]) );
-          ]
-      in
-      let oc = open_out path in
-      output_string oc (Jsonv.to_string json);
-      output_string oc "\n";
-      close_out oc;
-      Printf.printf "wrote %s (%d history entries)\n" path
-        (List.length history + 1));
-  if regressions <> [] then exit 1
-
-let bench_search_cli rest =
-  let out = ref None
-  and rev = ref "local"
-  and check = ref None
-  and tolerance = ref 0.2 in
-  let rec parse = function
-    | [] -> ()
-    | "--rev" :: v :: tl ->
-        rev := v;
-        parse tl
-    | "--check" :: v :: tl ->
-        check := Some v;
-        parse tl
-    | "--tolerance" :: v :: tl ->
-        (try tolerance := float_of_string v
-         with _ ->
-           prerr_endline "bad --tolerance";
-           exit 2);
-        parse tl
-    | v :: tl when v = "-" || (v <> "" && v.[0] <> '-') ->
-        out := Some v;
-        parse tl
-    | v :: _ ->
-        Printf.eprintf
-          "unknown bench-search option %s\n\
-           usage: main.exe --bench-search [FILE] [--rev NAME] [--check \
-           BASELINE] [--tolerance T]\n"
-          v;
-        exit 2
-  in
-  parse rest;
-  let out = match !out with Some "-" -> None | o -> o in
-  bench_search ~out ~rev:!rev ~check:!check ~tolerance:!tolerance
+  if List.assoc "n4-symcert-final" rows <> List.assoc "n4-best-astar" rows
+  then begin
+    prerr_endline
+      "n4-symcert-final differs from n4-best-astar: the final check \
+       rejected a final";
+    exit 1
+  end
 
 (* --stats-json [FILE|-]: skip the Bechamel run and dump a machine-readable
    search-stats snapshot instead — one JSON object per representative
@@ -545,24 +362,24 @@ let stats_snapshot () =
   json
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "--bench-search" :: rest -> bench_search_cli rest
-  | _ :: "--stats-json" :: rest -> (
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--bench-search" ] -> bench_search ()
+  | [ "--stats-json" ] | [ "--stats-json"; "-" ] ->
+      print_string (stats_snapshot ())
+  | [ "--stats-json"; path ] when path <> "" && path.[0] <> '-' ->
       let json = stats_snapshot () in
-      match rest with
-      | [] | [ "-" ] -> print_string json
-      | [ path ] ->
-          let oc = open_out path in
-          output_string oc json;
-          close_out oc;
-          Printf.printf "wrote %s (%d bytes)\n" path (String.length json)
-      | _ ->
-          prerr_endline "usage: main.exe --stats-json [FILE|-]";
-          exit 2)
-  | _ :: arg :: _ when arg <> "" && arg.[0] = '-' ->
-      Printf.eprintf "unknown option %s\nusage: main.exe [--stats-json [FILE|-]]\n" arg;
+      let oc = open_out path in
+      output_string oc json;
+      close_out oc;
+      Printf.printf "wrote %s (%d bytes)\n" path (String.length json)
+  | _ :: _ as args ->
+      Printf.eprintf
+        "unrecognised arguments: %s\n\
+         usage: main.exe [--bench-search | --stats-json [FILE|-]] (no \
+         argument: the Bechamel suite)\n"
+        (String.concat " " args);
       exit 2
-  | _ ->
+  | [] ->
   (* Force shared lazies outside the timed region. *)
   ignore (Lazy.force solutions3);
   ignore (Lazy.force random_points);

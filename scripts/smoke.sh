@@ -8,8 +8,9 @@
 # SMOKE_ONLY=serve runs only the synthesis-daemon section; SMOKE_ONLY=certify
 # runs only the symbolic-certifier section; SMOKE_ONLY=devlint runs only the
 # self-hosted codebase-linter gate; SMOKE_ONLY=bench runs only the
-# search-throughput regression gate (each used by the matching CI job,
-# which has already built and tested). The default runs everything.
+# search fingerprint gate, `dune build @bench/bench-search` (each used by
+# the matching CI job, which has already built and tested). The default
+# runs everything.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -522,21 +523,31 @@ fi # SMOKE_ONLY=devlint guard
 
 if [ "${SMOKE_ONLY:-all}" = "all" ] || [ "${SMOKE_ONLY:-all}" = "bench" ]; then
 
-echo "== search-throughput regression gate =="
-dune build bench/main.exe
-# Measure a fresh trajectory point into a scratch file (never the committed
-# baseline) and gate it against the last committed BENCH_search.json entry:
-# >20% states/sec regression on any workload fails the smoke. One repeat
-# keeps CI latency sane; the gate's tolerance absorbs runner noise.
-benchout="${TMPDIR:-/tmp}/sortsynth-bench-smoke.json"
-rm -f "$benchout"
-BENCH_REPEATS="${BENCH_REPEATS:-1}" dune exec bench/main.exe -- \
-    --bench-search "$benchout" --rev smoke \
-    --check BENCH_search.json --tolerance 0.2 \
-  || { echo "search throughput regressed >20% vs BENCH_search.json" >&2; exit 1; }
-grep -q '"schema":"sortsynth-bench-search/v1"' "$benchout" \
-  || { echo "bench snapshot is missing its schema tag" >&2; exit 1; }
-rm -f "$benchout"
+echo "== search fingerprint gate =="
+# Rerun every BENCH_search.json row and diff the host-independent facts
+# (counters, optimal length, solution count, proved_optimal) against the
+# committed file: any drift fails, whatever the host's speed.
+dune build @bench/bench-search \
+  || { echo "search fingerprint drifted from BENCH_search.json (dune promote accepts an intended change)" >&2; exit 1; }
+fresh="_build/default/bench/fingerprint/bench-search.json"
+
+echo "== search fingerprint gate: a one-successor drift fails =="
+# The gate is a byte comparison, so a copy whose n4-level-iii row counts
+# one more generated successor must not match the fresh fingerprint.
+drift="${TMPDIR:-/tmp}/sortsynth-bench-drift.json"
+awk '/"bench":"n4-level-iii"/ && match($0, /"generated":[0-9]+/) {
+       n = substr($0, RSTART + 12, RLENGTH - 12) + 1
+       $0 = substr($0, 1, RSTART - 1) "\"generated\":" n substr($0, RSTART + RLENGTH)
+     } { print }' BENCH_search.json > "$drift"
+if cmp -s "$drift" BENCH_search.json; then
+  echo "drift copy is unchanged: no n4-level-iii row with a generated count" >&2; exit 1
+fi
+if cmp -s "$fresh" "$drift"; then
+  echo "fingerprint check accepted a one-successor drift" >&2; exit 1
+fi
+cmp -s "$fresh" BENCH_search.json \
+  || { echo "fingerprint check rejected the committed BENCH_search.json" >&2; exit 1; }
+rm -f "$drift"
 
 fi # SMOKE_ONLY=bench guard
 
